@@ -1,19 +1,21 @@
 """Wall-clock benchmark of the vectorized fleet kernel.
 
 Measures aggregate device-steps/sec — ``N devices x T ticks / elapsed``
-— for a batched ``run_fleet_scenario`` run at several fleet sizes and
-compares against the scalar oracle's throughput measured in the same
-process (one ``run_scenario`` call, same scenario and protocol).  The
-headline number is the aggregate speedup at N=1000: one numpy op
-advancing a thousand simulated SoCs amortizes the per-tick Python
-overhead that dominates the scalar path.
+— for batched ``run_fleet_scenario`` runs of MM-Perf and SPECTR at
+several fleet sizes, and compares each against its scalar oracle's
+throughput measured in the same process (one ``run_scenario`` call,
+same scenario and protocol).  The headline number is the aggregate
+speedup at N=1000: one numpy op advancing a thousand simulated SoCs
+amortizes the per-tick Python overhead that dominates the scalar path.
 
-Writes ``benchmarks/results/fleet.json`` so the speedup is diffable
-across runs.  Full mode asserts the tentpole's acceptance bar: >= 100x
-aggregate throughput at N=1000 for MM-Perf.  Quick mode
-(``FLEET_QUICK=1``) is for CI smoke: a small fleet, no speedup
-assertion — timing on a cold, loaded box is noise, but the benchmark
-must still complete and emit valid JSON.
+Writes ``benchmarks/results/fleet.json`` so the numbers are diffable
+across runs.  Full mode asserts two bars at N=1000: >= 100x aggregate
+throughput over the scalar oracle for MM-Perf, and SPECTR (the paper's
+method, whose supervisor runs as a compiled table on the fleet path)
+at >= 0.4x MM-Perf's aggregate throughput.  Quick mode
+(``FLEET_QUICK=1``) is for CI smoke: a small fleet, no assertion —
+timing on a cold, loaded box is noise, but the benchmark must still
+complete and emit valid JSON (under ``benchmarks/results-quick/``).
 """
 
 from __future__ import annotations
@@ -22,18 +24,19 @@ import json
 import os
 import time
 
-from conftest import RESULTS_DIR
+from conftest import results_dir
 
-# The tentpole's acceptance bar, full mode only: aggregate fleet
-# throughput at N=1000 vs the scalar oracle, slowest timed manager.
+# Full-mode acceptance bars at N=1000: MM-Perf's aggregate fleet
+# throughput vs its scalar oracle, and SPECTR's vs MM-Perf's.
 REQUIRED_AGGREGATE_SPEEDUP = 100.0
+REQUIRED_SPECTR_SHARE = 0.4
 
 QUICK = os.environ.get("FLEET_QUICK", "") not in ("", "0")
 FLEET_SIZES = (64,) if QUICK else (10, 100, 1000)
 HEADLINE_N = FLEET_SIZES[-1]
 WARMUP_RUNS = 1
 TIMED_RUNS = 2 if QUICK else 3
-MANAGER = "MM-Perf"
+MANAGERS = ("MM-Perf", "SPECTR")
 
 
 def _scenario():
@@ -42,7 +45,7 @@ def _scenario():
     return three_phase_scenario(phase_duration_s=5.0)
 
 
-def _scalar_steps_per_s():
+def _scalar_steps_per_s(manager: str):
     """Scalar-oracle throughput (steps/sec) on the benchmark scenario."""
     from repro.experiments.figures import (
         identified_systems,
@@ -52,7 +55,7 @@ def _scalar_steps_per_s():
     from repro.workloads import x264
 
     scenario = _scenario()
-    factory = manager_factory(MANAGER, identified_systems())
+    factory = manager_factory(manager, identified_systems())
 
     def one_run():
         start = time.perf_counter()
@@ -65,7 +68,7 @@ def _scalar_steps_per_s():
     return max(one_run() for _ in range(TIMED_RUNS))
 
 
-def _fleet_steps_per_s(n_devices: int):
+def _fleet_steps_per_s(manager: str, n_devices: int):
     """Aggregate device-steps/sec for one batched fleet run."""
     from repro.exec.job import derive_seed
     from repro.experiments.figures import identified_systems
@@ -76,7 +79,7 @@ def _fleet_steps_per_s(n_devices: int):
     from repro.workloads import x264
 
     scenario = _scenario()
-    factory = fleet_manager_factory(MANAGER, identified_systems())
+    factory = fleet_manager_factory(manager, identified_systems())
     seeds = [derive_seed(2018, "fleet", i) for i in range(n_devices)]
 
     def one_run():
@@ -93,51 +96,65 @@ def _fleet_steps_per_s(n_devices: int):
 
 
 def test_fleet_throughput(save_result):
-    scalar = _scalar_steps_per_s()
-    fleet = {n: _fleet_steps_per_s(n) for n in FLEET_SIZES}
-    speedups = {n: fleet[n] / scalar for n in FLEET_SIZES}
+    scalar = {m: _scalar_steps_per_s(m) for m in MANAGERS}
+    fleet = {m: {n: _fleet_steps_per_s(m, n) for n in FLEET_SIZES} for m in MANAGERS}
+    speedups = {
+        m: {n: fleet[m][n] / scalar[m] for n in FLEET_SIZES} for m in MANAGERS
+    }
+    spectr_share = {
+        n: fleet["SPECTR"][n] / fleet["MM-Perf"][n] for n in FLEET_SIZES
+    }
+
+    def by_size(values, digits=1):
+        return {str(n): round(value, digits) for n, value in values.items()}
 
     payload = {
         "protocol": {
             "scenario": "three_phase_scenario(phase_duration_s=5.0)",
             "steps": 300,
             "workload": "x264",
-            "manager": MANAGER,
+            "managers": list(MANAGERS),
             "seed_base": 2018,
             "fleet_sizes": list(FLEET_SIZES),
             "warmup_runs": WARMUP_RUNS,
             "timed_runs": TIMED_RUNS,
             "quick_mode": QUICK,
         },
-        "scalar_steps_per_s": round(scalar, 1),
+        "scalar_steps_per_s": {m: round(scalar[m], 1) for m in MANAGERS},
         "fleet_aggregate_steps_per_s": {
-            str(n): round(value, 1) for n, value in fleet.items()
+            m: by_size(fleet[m]) for m in MANAGERS
         },
-        "aggregate_speedup": {
-            str(n): round(value, 1) for n, value in speedups.items()
-        },
+        "aggregate_speedup": {m: by_size(speedups[m]) for m in MANAGERS},
+        "spectr_to_mm_perf": by_size(spectr_share, 2),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "fleet.json").write_text(
+    (results_dir(QUICK) / "fleet.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
     lines = [
-        f"Fleet kernel aggregate throughput ({MANAGER}, device-steps/sec, "
-        f"best of {TIMED_RUNS} after {WARMUP_RUNS} warm-up runs)",
-        f"  scalar oracle {scalar:10.1f} steps/s",
+        "Fleet kernel aggregate throughput (device-steps/sec, "
+        f"best of {TIMED_RUNS} after {WARMUP_RUNS} warm-up runs)"
     ]
+    for m in MANAGERS:
+        lines.append(f"  {m:<8} scalar oracle {scalar[m]:10.1f} steps/s")
+        for n in FLEET_SIZES:
+            lines.append(
+                f"  {m:<8} N={n:<6} {fleet[m][n]:12.1f} agg steps/s"
+                f"  ({speedups[m][n]:.1f}x scalar)"
+            )
     for n in FLEET_SIZES:
-        lines.append(
-            f"  N={n:<6} {fleet[n]:12.1f} agg steps/s"
-            f"  ({speedups[n]:.1f}x scalar)"
-        )
-    save_result("fleet", "\n".join(lines))
+        lines.append(f"  SPECTR / MM-Perf at N={n:<6} {spectr_share[n]:.2f}x")
+    save_result("fleet", "\n".join(lines), quick=QUICK)
 
     if not QUICK:
-        assert speedups[HEADLINE_N] >= REQUIRED_AGGREGATE_SPEEDUP, (
-            f"fleet kernel at N={HEADLINE_N} only "
-            f"{speedups[HEADLINE_N]:.1f}x the scalar oracle "
-            f"(need {REQUIRED_AGGREGATE_SPEEDUP}x)"
+        headline = speedups["MM-Perf"][HEADLINE_N]
+        assert headline >= REQUIRED_AGGREGATE_SPEEDUP, (
+            f"fleet kernel at N={HEADLINE_N} only {headline:.1f}x the "
+            f"scalar oracle (need {REQUIRED_AGGREGATE_SPEEDUP}x)"
+        )
+        share = spectr_share[HEADLINE_N]
+        assert share >= REQUIRED_SPECTR_SHARE, (
+            f"fleet SPECTR at N={HEADLINE_N} only {share:.2f}x MM-Perf's "
+            f"throughput (need {REQUIRED_SPECTR_SHARE}x)"
         )

@@ -23,6 +23,7 @@ and speedups land in ``benchmarks/results/model_check.json``.
 Set ``MODEL_CHECK_QUICK=1`` to cap the sweep at the mid size (used by
 ``scripts/check.sh`` so the pre-merge gate stays fast); the 10x
 assertion then relaxes to 3x — small models cannot amortize encoding.
+Quick runs write under ``benchmarks/results-quick/``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import os
 import time
 
-from conftest import RESULTS_DIR
+from conftest import results_dir
 
 FULL_SIZES = [(2, 3), (4, 3), (7, 3)]
 QUICK_SIZES = [(2, 3), (4, 3)]
@@ -134,8 +135,7 @@ def test_model_check_speedup(save_result):
     )
 
     payload = {"quick": quick, "sizes": rows}
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "model_check.json").write_text(
+    (results_dir(quick) / "model_check.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -151,4 +151,4 @@ def test_model_check_speedup(save_result):
         f"{row['synth_symbolic_s']:>10.3f}s {row['synth_speedup']:>9.1f}x"
         for row in rows
     ]
-    save_result("model_check", "\n".join(lines))
+    save_result("model_check", "\n".join(lines), quick=quick)

@@ -16,7 +16,8 @@ taken under different load is not comparable.
 
 Quick mode (``STEP_KERNEL_QUICK=1``) is for CI smoke: fewer repeats and
 no speedup assertion — timing on a cold, loaded box is noise, but the
-benchmark must still complete and emit valid JSON.
+benchmark must still complete and emit valid JSON (written under
+``benchmarks/results-quick/`` so the committed numbers stay intact).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import os
 import time
 
-from conftest import RESULTS_DIR
+from conftest import results_dir
 
 # steps/sec at commit 69831b4, measured with _timed_run's protocol.
 BASELINE_STEPS_PER_S = {
@@ -102,8 +103,7 @@ def test_step_kernel_throughput(save_result):
             name: round(value, 2) for name, value in speedups.items()
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "step_kernel.json").write_text(
+    (results_dir(QUICK) / "step_kernel.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
@@ -116,7 +116,7 @@ def test_step_kernel_throughput(save_result):
             f"  optimized {optimized[name]:8.1f}"
             f"  ({speedups[name]:.2f}x)"
         )
-    save_result("step_kernel", "\n".join(lines))
+    save_result("step_kernel", "\n".join(lines), quick=QUICK)
 
     if not QUICK:
         assert speedups["SPECTR"] >= REQUIRED_SPEEDUP, (

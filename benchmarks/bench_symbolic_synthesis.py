@@ -23,7 +23,8 @@ Timings, scale points and the explicit-DNF probe land in
 
 Set ``SYNTH_QUICK=1`` to cap the sweep at the mid size and skip the
 scale points (used by ``scripts/check.sh``); the 20x assertion then
-relaxes to 3x — small models cannot amortize encoding.
+relaxes to 3x — small models cannot amortize encoding.  Quick runs
+write under ``benchmarks/results-quick/``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import RESULTS_DIR
+from conftest import results_dir
 
 FULL_SIZES = [(2, 3), (4, 3), (7, 3)]
 QUICK_SIZES = [(2, 3), (4, 3)]
@@ -280,8 +281,7 @@ def test_symbolic_synthesis_speedup(save_result):
         )
 
     payload = {"quick": quick, "sizes": rows, "fleet": fleet_row, "scale": scale}
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "symbolic_synthesis.json").write_text(
+    (results_dir(quick) / "symbolic_synthesis.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -310,4 +310,4 @@ def test_symbolic_synthesis_speedup(save_result):
             f"(explicit: {p['explicit']['status']})"
             for p in scale
         ]
-    save_result("symbolic_synthesis", "\n".join(lines))
+    save_result("symbolic_synthesis", "\n".join(lines), quick=quick)

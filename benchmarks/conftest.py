@@ -2,7 +2,8 @@
 
 Each benchmark regenerates one table or figure of the paper and saves
 its rendered text under ``benchmarks/results/`` so the reproduction
-output can be inspected after a run.
+output can be inspected after a run.  Quick-mode runs save under
+``benchmarks/results-quick/`` instead.
 """
 
 from __future__ import annotations
@@ -12,14 +13,23 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+# Quick-mode (CI smoke) runs write here instead, so a gate run never
+# overwrites a committed full-mode number.  Ignored by git, and kept
+# outside results/ because tools read every entry there as a file.
+QUICK_RESULTS_DIR = Path(__file__).parent / "results-quick"
+
+
+def results_dir(quick: bool) -> Path:
+    """Where a benchmark run writes its results (created on demand)."""
+    path = QUICK_RESULTS_DIR if quick else RESULTS_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture(scope="session")
 def save_result():
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _save(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    def _save(name: str, text: str, *, quick: bool = False) -> None:
+        (results_dir(quick) / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}\n")
 
     return _save

@@ -37,9 +37,10 @@
 #     relaxed 3x speedup floor (the 10x gate runs in the full sweep:
 #     `python -m pytest benchmarks/bench_model_check.py`),
 #   * the fleet-kernel benchmark (quick mode, FLEET_QUICK=1) fails to
-#     complete or to emit valid JSON.  Quick mode runs a small fleet
-#     with no speedup assertion; the 100x aggregate-throughput gate at
-#     N=1000 runs in the full benchmark
+#     complete or to emit valid JSON with MM-Perf and SPECTR rows.
+#     Quick mode runs a small fleet with no speedup assertion; the 100x
+#     aggregate-throughput gate and the SPECTR >= 0.4x MM-Perf gate at
+#     N=1000 run in the full benchmark
 #     (`python -m pytest benchmarks/bench_fleet.py`),
 #   * the symbolic-synthesis benchmark (quick mode, SYNTH_QUICK=1)
 #     fails its byte-identical explicit-vs-symbolic bundle comparison
@@ -50,6 +51,10 @@
 #     invariants (warm scan rescans 0 modules, a one-module edit
 #     rescans exactly 1) or fails to emit valid JSON.  Wall-clock is
 #     recorded but never asserted — the rescan counts are the gate.
+#
+# Quick-mode benchmarks write under benchmarks/results-quick/ (ignored
+# by git) and are validated there, so a gate run never overwrites the
+# committed full-mode results.
 #
 # Optional third-party linters (ruff/mypy, `pip install -e .[lint]`) run
 # only when installed, so the gate works on the bare numpy toolchain.
@@ -86,7 +91,7 @@ echo "== step-kernel benchmark (quick mode) =="
 STEP_KERNEL_QUICK=1 python -m pytest -x -q benchmarks/bench_step_kernel.py
 python - <<'EOF'
 import json
-with open("benchmarks/results/step_kernel.json") as fh:
+with open("benchmarks/results-quick/step_kernel.json") as fh:
     payload = json.load(fh)
 for key in ("baseline_steps_per_s", "optimized_steps_per_s", "speedup"):
     assert key in payload, f"step_kernel.json missing {key!r}"
@@ -98,7 +103,7 @@ echo "== model-check benchmark (quick mode) =="
 MODEL_CHECK_QUICK=1 python -m pytest -x -q benchmarks/bench_model_check.py
 python - <<'EOF'
 import json
-with open("benchmarks/results/model_check.json") as fh:
+with open("benchmarks/results-quick/model_check.json") as fh:
     payload = json.load(fh)
 assert payload["sizes"], "model_check.json has no size rows"
 for row in payload["sizes"]:
@@ -112,7 +117,7 @@ echo "== symbolic-synthesis benchmark (quick mode) =="
 SYNTH_QUICK=1 python -m pytest -x -q benchmarks/bench_symbolic_synthesis.py
 python - <<'EOF'
 import json
-with open("benchmarks/results/symbolic_synthesis.json") as fh:
+with open("benchmarks/results-quick/symbolic_synthesis.json") as fh:
     payload = json.load(fh)
 assert payload["sizes"], "symbolic_synthesis.json has no size rows"
 for row in payload["sizes"] + [payload["fleet"]]:
@@ -128,15 +133,18 @@ echo "== fleet-kernel benchmark (quick mode) =="
 FLEET_QUICK=1 python -m pytest -x -q benchmarks/bench_fleet.py
 python - <<'EOF'
 import json
-with open("benchmarks/results/fleet.json") as fh:
+with open("benchmarks/results-quick/fleet.json") as fh:
     payload = json.load(fh)
 for key in (
     "scalar_steps_per_s",
     "fleet_aggregate_steps_per_s",
     "aggregate_speedup",
+    "spectr_to_mm_perf",
 ):
     assert key in payload, f"fleet.json missing {key!r}"
-assert payload["fleet_aggregate_steps_per_s"], "fleet.json has no sizes"
+for manager in ("MM-Perf", "SPECTR"):
+    sizes = payload["fleet_aggregate_steps_per_s"].get(manager)
+    assert sizes, f"fleet.json has no {manager} sizes"
 print("fleet.json is valid")
 EOF
 

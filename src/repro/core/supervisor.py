@@ -12,6 +12,11 @@ carry over to the running system.
 The engine is deliberately table-driven and allocation-free on the hot
 path: the paper measures the supervisor at ~30 microseconds per
 invocation (Section 5.3).
+
+:class:`SupervisorTable` is the same walk compiled to integer arrays
+for N independent copies of the supervisor at once (the fleet path):
+one gather advances every row's state, and action selection is a
+first-true scan over a priority-ordered enabled-and-guarded mask.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+import numpy as np
+
 from repro.automata.automaton import Automaton, State
+from repro.automata.symbolic import encode_automaton
 
 
 class SupervisorRuntimeError(RuntimeError):
@@ -212,3 +220,112 @@ class SupervisorEngine:
                 )
             )
         return tuple(executed)
+
+
+class SupervisorTable:
+    """A supervisor automaton compiled to integer transition tables.
+
+    States and events use :func:`~repro.automata.symbolic.encode_automaton`'s
+    sorted index space.  ``next_state[s, e]`` is the target of event
+    ``e`` in state ``s``, or -1 where the supervisor disables it.  The
+    action arrays are columns in ``actions`` (priority) order, plus one
+    trailing *idle* column: ``enabled`` says which actions the
+    supervisor permits in each state (an action outside the alphabet,
+    or uncontrollable, is never enabled, exactly as in
+    :meth:`SupervisorEngine.enabled_actions`), and ``action_next`` is
+    where each one leads.  The idle column is enabled everywhere and
+    loops, so a row that picks nothing needs no masking.
+
+    Row states are ``(N,)`` integer arrays owned by the caller; one call
+    advances every row, with the same semantics as one
+    :class:`SupervisorEngine` per row.
+    """
+
+    def __init__(
+        self, supervisor: Automaton, actions: tuple[str, ...]
+    ) -> None:
+        enc = encode_automaton(supervisor)
+        n_states = enc.n_states  # repro: shape[int[S]]
+        n_events = enc.n_events  # repro: shape[int[E]]
+        self.state_names = enc.state_names
+        self.event_names = enc.event_names
+        self.actions = tuple(actions)
+        self.initial = enc.initial
+        # Event column ``n_events`` is "no observation".
+        self.no_event = n_events
+        self.idle = len(self.actions)  # repro: shape[int[A]]
+        states = np.arange(n_states)  # repro: shape[(S,) i8]
+        table = np.full((n_states, n_events), -1, dtype=np.int64)  # repro: shape[(S, E) i8]
+        for e in range(n_events):
+            table[enc.src[e], e] = enc.dst[e]
+        self.next_state = table
+        # Observation walk: a disabled observation is ignored (the row
+        # stays put), as in SupervisorEngine.observe.
+        observe = np.empty((n_states, n_events + 1), dtype=np.int64)  # repro: shape[(S, E+1) i8]
+        observe[:, :n_events] = np.where(table >= 0, table, states[:, None])
+        observe[:, n_events] = states
+        self._observe = observe.ravel()
+        enabled = np.zeros((n_states, self.idle + 1), dtype=bool)  # repro: shape[(S, A+1) b1]
+        action_next = np.full((n_states, self.idle + 1), -1, dtype=np.int64)  # repro: shape[(S, A+1) i8]
+        for j, name in enumerate(self.actions):
+            e = enc.event_index(name)
+            if e is None or not enc.event_controllable[e]:
+                continue
+            enabled[:, j] = table[:, e] >= 0
+            action_next[:, j] = table[:, e]
+        enabled[:, self.idle] = True
+        action_next[:, self.idle] = states
+        self.enabled = enabled
+        self.action_next = action_next
+
+    def event_column(self, name: str) -> int:
+        """Column of event ``name`` (which must be in the alphabet, as
+        :meth:`SupervisorEngine.observe` requires)."""
+        try:
+            return self.event_names.index(name)
+        except ValueError:
+            raise SupervisorRuntimeError(
+                f"event {name!r} is not in the supervisor's alphabet"
+            ) from None
+
+    def observe(self, state: np.ndarray, events) -> None:
+        # repro: shape[state: (N,) i8]
+        """Advance each row over its observation (in place).
+
+        ``events`` holds one event column per row (or one for all);
+        rows whose event is disabled, or ``no_event``, stay put.
+        """
+        width = self.no_event + 1
+        np.take(self._observe, state * width + events, out=state)
+
+    def select(
+        self, state: np.ndarray, guards: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        # repro: shape[state: (N,) i8; guards: (N, A+1) b1; out: (N,) i8; -> (N,) i8]
+        """Per row, the first action in priority order that the
+        supervisor enables and whose guard passes; ``idle`` if none.
+
+        ``guards`` is ``(N, A+1)`` with the idle column set to True; it
+        is overwritten with the enabled-and-guarded mask.
+        """
+        np.logical_and(guards, self.enabled[state], out=guards)
+        return np.argmax(guards, axis=1, out=out)
+
+    def execute(self, state: np.ndarray, choice: np.ndarray) -> None:
+        # repro: shape[state: (N,) i8; choice: (N,) i8]
+        """Advance each row over its chosen action (in place).
+
+        Raises :class:`SupervisorRuntimeError` if any row's action is
+        disabled in its state, the check :meth:`SupervisorEngine.execute`
+        makes.
+        """
+        width = self.idle + 1
+        target = self.action_next.ravel()[state * width + choice]
+        if target.min() < 0:
+            row = int(np.flatnonzero(target < 0)[0])
+            raise SupervisorRuntimeError(
+                f"action {self.actions[choice[row]]!r} is disabled by the "
+                f"supervisor at state {self.state_names[state[row]]} "
+                f"(row {row})"
+            )
+        state[...] = target

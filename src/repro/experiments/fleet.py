@@ -95,6 +95,11 @@ class FleetTrace:
         )
 
 
+# Largest pre-drawn noise block of a fleet run, in standard normals
+# (4 MiB of float64).  An N=1000 run refills a few times per scenario.
+NOISE_BLOCK_VALUES = 1 << 19
+
+
 def run_fleet_scenario(
     manager_factory,
     workload: QoSWorkload,
@@ -109,16 +114,22 @@ def run_fleet_scenario(
 
     ``manager_factory`` maps ``(platform, goals)`` to a
     :class:`FleetResourceManager`; ``seeds`` gives one RNG seed per
-    device row.  ``noise_chunk_ticks=None`` sizes the pre-drawn noise
-    block to the scenario (capped), so a run draws no standard normals
-    it will not consume — chunking never changes the values, only how
-    much of each device's stream is materialized at once.
+    device row.  ``noise_chunk_ticks=None`` splits the scenario into
+    equal noise blocks of at most ``NOISE_BLOCK_VALUES`` standard
+    normals, so a run draws (almost) none it will not consume and the
+    block does not grow with fleet size times run length — chunking
+    never changes the values, only how much of each device's stream is
+    materialized at once.
     """
     seeds = tuple(int(s) for s in seeds)
     config = SoCConfig()
     steps = int(round(scenario.total_duration_s / config.dt_s))
     if noise_chunk_ticks is None:
-        noise_chunk_ticks = max(1, min(steps, 1024))
+        # Normals the fleet draws per tick (QoS draw included).
+        per_tick = len(seeds) * (2 * (config.cores_per_cluster + 1) + 1)
+        cap = max(1, NOISE_BLOCK_VALUES // per_tick)
+        blocks = max(1, -(-steps // cap))
+        noise_chunk_ticks = max(1, -(-steps // blocks))
     platform = FleetPlatform(
         qos_app=workload,
         background=scenario.background_tasks(),

@@ -6,15 +6,18 @@ top of :class:`~repro.control.batch.BatchedLQGServo` and a
 bit-identical to running the scalar manager on N independent scalar
 SoCs (``tests/platform/test_fleet_equivalence.py``).
 
-The numeric hot path (servo advance, DVFS snap, hotplug deadband) is
-fully vectorized.  SPECTR's supervisory layer is deliberately *not*: it
-is pure Python branching on per-row scalars (automaton walks, guard
-checks, reference arithmetic), runs only every ``supervisor_period``
-invocations, and its decisions feed back into the batch as grouped
-``switch_rows`` calls and reference-column rewrites.  Gain switches are
-collected during the per-row pass and applied afterwards, which is
-bit-identical because a bumpless switch reads only the estimator state
-(``X``/``DU``) that nothing in the supervision pass mutates.
+The whole control path is vectorized, SPECTR's supervisory layer
+included.  The verified supervisor is compiled once into a
+:class:`~repro.core.supervisor.SupervisorTable`; every row's automaton
+state, three-band abstraction counters and power references are
+``(N,)`` arrays.  One invocation is a fixed sequence of array ops:
+classify events, advance through the table, then per action slot pick
+each row's first enabled action whose guard passes, execute it and
+apply its effect as a masked write.  Gain switches go through
+``switch_rows`` slot by slot.  Elementwise float64 ``+ * < >`` and
+``where``-based ``max``/``min`` against Python-float constants equal
+the scalar arithmetic bit for bit, so the scalar ``SPECTRManager``
+stays the oracle row for row.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 
 from repro.control.batch import BatchedLQGServo
 from repro.control.lqg import ActuatorLimits
-from repro.core.events import EventAbstractor, ThreeBandThresholds
-from repro.core.supervisor import PriorityPolicy, SupervisorEngine
+from repro.core.events import ThreeBandThresholds
+from repro.core.supervisor import SupervisorTable
 from repro.core.synthesis_flow import (
     VerifiedSupervisor,
     build_case_study_supervisor,
@@ -53,14 +56,19 @@ from repro.managers.spectr import (
     INITIAL_LITTLE_SHARE,
     LITTLE_IPS_REFERENCE as SPECTR_LITTLE_IPS_REFERENCE,
     LITTLE_POWER_FLOOR_W,
+    MAX_ACTIONS_PER_INVOCATION,
 )
 from repro.core.alphabet import (
     CONTROL_POWER,
+    CRITICAL,
     DECREASE_BIG_POWER,
     DECREASE_CRITICAL_POWER,
     DECREASE_LITTLE_POWER,
     INCREASE_BIG_POWER,
     INCREASE_LITTLE_POWER,
+    QOS_MET,
+    QOS_NOT_MET,
+    SAFE_POWER,
     SWITCH_GAINS,
     SWITCH_QOS,
 )
@@ -322,275 +330,25 @@ class FleetFullSystem(FleetResourceManager):
 # ----------------------------------------------------------------------
 # SPECTR
 # ----------------------------------------------------------------------
-class _RowCluster:
-    """One row's per-cluster readings for the supervisory layer."""
-
-    __slots__ = ("power_w", "ips")
-
-    def __init__(self, power_w: float, ips: float) -> None:
-        self.power_w = power_w
-        self.ips = ips
+def _py_max(a, b):
+    """Elementwise Python ``max(a, b)``: ``b`` only where ``b > a``."""
+    return np.where(b > a, b, a)
 
 
-class _RowView:
-    """Duck-typed scalar telemetry view of one fleet row.
-
-    Carries exactly the fields the event abstraction and the action
-    guards read (``EventAbstractor.classify`` is duck-typed over
-    ``chip_power_w`` / ``qos_rate``).
-    """
-
-    __slots__ = ("time_s", "qos_rate", "chip_power_w", "big", "little")
-
-    def __init__(
-        self,
-        time_s: float,
-        qos_rate: float,
-        chip_power_w: float,
-        big: _RowCluster,
-        little: _RowCluster,
-    ) -> None:
-        self.time_s = time_s
-        self.qos_rate = qos_rate
-        self.chip_power_w = chip_power_w
-        self.big = big
-        self.little = little
-
-
-class _RowSupervisor:
-    """One row's supervisory state: a verbatim scalar-SPECTR mirror.
-
-    Holds the row's own automaton walk, event abstraction, priority
-    policy and power references — all Python floats, so every guard and
-    effect computes exactly what ``SPECTRManager`` would on a scalar
-    device.  Gain switches are *requested* through the owning manager
-    (which batches them into ``switch_rows`` calls).
-    """
-
-    __slots__ = (
-        "manager",
-        "row",
-        "engine",
-        "abstractor",
-        "big_power_ref_w",
-        "little_power_ref_w",
-        "big_gains",
-        "little_gains",
-        "_telemetry",
-        "_policy",
-        "_effects",
-    )
-
-    def __init__(
-        self,
-        manager: "FleetSPECTR",
-        row: int,
-        verified: VerifiedSupervisor,
-        thresholds: ThreeBandThresholds | None,
-    ) -> None:
-        self.manager = manager
-        self.row = row
-        self.engine = SupervisorEngine(
-            verified.supervisor, record_trace=False
-        )
-        self.abstractor = EventAbstractor(thresholds)
-        goals = manager.goals
-        self.big_power_ref_w = INITIAL_BIG_SHARE * goals.power_budget_w
-        self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * goals.power_budget_w
-        )
-        self.big_gains = QOS_GAINS
-        self.little_gains = QOS_GAINS
-        self._telemetry: _RowView | None = None
-        self._policy = PriorityPolicy(
-            priorities=ACTION_PRIORITIES,
-            guards={
-                DECREASE_BIG_POWER: self._guard_decrease_big,
-                INCREASE_BIG_POWER: self._guard_increase_big,
-                DECREASE_LITTLE_POWER: self._guard_decrease_little,
-                INCREASE_LITTLE_POWER: self._guard_increase_little,
-            },
-            max_actions_per_invocation=2,
-        )
-        self._effects = {
-            SWITCH_GAINS: self._effect_switch_power_gains,
-            SWITCH_QOS: self._effect_switch_qos_gains,
-            CONTROL_POWER: self._effect_control_power,
-            DECREASE_CRITICAL_POWER: self._effect_decrease_critical,
-            DECREASE_BIG_POWER: self._effect_decrease_big,
-            INCREASE_BIG_POWER: self._effect_increase_big,
-            DECREASE_LITTLE_POWER: self._effect_decrease_little,
-            INCREASE_LITTLE_POWER: self._effect_increase_little,
-        }
-
-    def supervise(self, view: _RowView) -> None:
-        self._telemetry = view
-        goals = self.manager.goals
-        events = self.abstractor.classify(
-            view,
-            qos_reference=goals.qos_reference,
-            power_budget_w=goals.power_budget_w,
-        )
-        self.engine.invoke(
-            events, self._policy, time_s=view.time_s, effects=self._effects
-        )
-
-    # -- budget arithmetic (scalar mirror) -----------------------------
-    def _capping_allocations(self) -> tuple[float, float]:
-        budget_w = self.manager.goals.power_budget_w
-        target = CAPPING_TARGET_FRACTION * budget_w
-        little = min(
-            max(LITTLE_POWER_FLOOR_W, self.little_power_ref_w),
-            0.15 * budget_w,
-        )
-        big = max(BIG_POWER_FLOOR_W, target - little)
-        return big, little
-
-    def _big_headroom_cap(self) -> float:
-        return self.manager.goals.power_budget_w - max(
-            LITTLE_POWER_FLOOR_W, self.little_power_ref_w
-        )
-
-    # -- guards (scalar mirror) ----------------------------------------
-    def _guard_decrease_big(self) -> bool:
-        t = self._telemetry
-        return (
-            t is not None
-            and self.big_power_ref_w > t.big.power_w + 0.15
-            and self.big_power_ref_w > BIG_POWER_FLOOR_W
-        )
-
-    def _guard_increase_big(self) -> bool:
-        return self.big_power_ref_w < self._big_headroom_cap() - 0.05
-
-    def _guard_decrease_little(self) -> bool:
-        t = self._telemetry
-        return (
-            t is not None
-            and t.little.ips < 0.1
-            and self.little_power_ref_w > LITTLE_POWER_FLOOR_W + 0.02
-        )
-
-    def _guard_increase_little(self) -> bool:
-        t = self._telemetry
-        return (
-            t is not None
-            and t.little.ips > 0.3
-            and self.little_power_ref_w
-            < 0.15 * self.manager.goals.power_budget_w - 0.02
-        )
-
-    # -- effects (scalar mirror) ---------------------------------------
-    def _switch(self, cluster_key: str, gains: str) -> bool:
-        """Mirror of ``ClusterMIMO.switch_gains`` on this row."""
-        current = (
-            self.big_gains if cluster_key == "big" else self.little_gains
-        )
-        if gains == current:
-            return False
-        if cluster_key == "big":
-            self.big_gains = gains
-        else:
-            self.little_gains = gains
-        self.manager._pend_switch(
-            cluster_key, self.row, FLEET_GAIN_NAMES.index(gains)
-        )
-        return True
-
-    def _effect_switch_power_gains(self) -> None:
-        manager = self.manager
-        if not manager.enable_gain_scheduling:
-            return
-        now = self._telemetry.time_s if self._telemetry else 0.0
-        if self._switch("big", POWER_GAINS):
-            manager.gain_events.append((now, self.row, "big", POWER_GAINS))
-        if self._switch("little", POWER_GAINS):
-            manager.gain_events.append(
-                (now, self.row, "little", POWER_GAINS)
-            )
-
-    def _effect_switch_qos_gains(self) -> None:
-        manager = self.manager
-        if manager.enable_gain_scheduling:
-            now = self._telemetry.time_s if self._telemetry else 0.0
-            if self._switch("big", QOS_GAINS):
-                manager.gain_events.append((now, self.row, "big", QOS_GAINS))
-            if self._switch("little", QOS_GAINS):
-                manager.gain_events.append(
-                    (now, self.row, "little", QOS_GAINS)
-                )
-        if manager.enable_reference_regulation:
-            budget_w = manager.goals.power_budget_w
-            self.big_power_ref_w = INITIAL_BIG_SHARE * budget_w
-            self.little_power_ref_w = max(
-                LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * budget_w
-            )
-            manager._refs_dirty = True
-
-    def _effect_control_power(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        self.big_power_ref_w, self.little_power_ref_w = (
-            self._capping_allocations()
-        )
-        manager._refs_dirty = True
-
-    def _effect_decrease_critical(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        big, little = self._capping_allocations()
-        self.big_power_ref_w = max(
-            BIG_POWER_FLOOR_W, HARD_DROP_FACTOR * big
-        )
-        self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, HARD_DROP_FACTOR * little
-        )
-        manager._refs_dirty = True
-
-    def _effect_decrease_big(self) -> None:
-        t = self._telemetry
-        manager = self.manager
-        if t is None or not manager.enable_reference_regulation:
-            return
-        self.big_power_ref_w = max(
-            BIG_POWER_FLOOR_W, t.big.power_w + 0.10
-        )
-        manager._refs_dirty = True
-
-    def _effect_increase_big(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        self.big_power_ref_w = min(
-            self._big_headroom_cap(), self.big_power_ref_w + 0.30
-        )
-        manager._refs_dirty = True
-
-    def _effect_decrease_little(self) -> None:
-        t = self._telemetry
-        manager = self.manager
-        if t is None or not manager.enable_reference_regulation:
-            return
-        self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, t.little.power_w + 0.05
-        )
-        manager._refs_dirty = True
-
-    def _effect_increase_little(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        self.little_power_ref_w = min(
-            0.15 * manager.goals.power_budget_w,
-            self.little_power_ref_w + 0.10,
-        )
-        manager._refs_dirty = True
+def _py_min(a, b):
+    """Elementwise Python ``min(a, b)``: ``b`` only where ``b < a``."""
+    return np.where(b < a, b, a)
 
 
 class FleetSPECTR(FleetResourceManager):
-    """Batched SPECTR: per-row supervisors over two batched 2x2 servos."""
+    """Batched SPECTR: one compiled supervisor table over two batched
+    2x2 servos.
+
+    Every row walks its own copy of the verified automaton; the
+    per-row supervisor state, three-band abstraction counters and power
+    references are ``(N,)`` arrays, and each invocation is a fixed
+    sequence of whole-fleet array ops mirroring ``SPECTRManager``.
+    """
 
     def __init__(
         self,
@@ -612,7 +370,8 @@ class FleetSPECTR(FleetResourceManager):
         self.enable_gain_scheduling = enable_gain_scheduling
         self.enable_reference_regulation = enable_reference_regulation
         self.supervisor_period_epochs = supervisor_period_epochs
-        n = platform.n_devices
+        self.thresholds = thresholds or ThreeBandThresholds()
+        n = platform.n_devices  # repro: shape[int[N]]
         self.big_servo = _cluster_servo(
             platform.big, big_system, n, initial=_QOS_ID, name="big-mimo"
         )
@@ -624,35 +383,48 @@ class FleetSPECTR(FleetResourceManager):
             name="little-mimo",
         )
         self.verified = verified_supervisor or build_case_study_supervisor()
+        table = SupervisorTable(self.verified.supervisor, ACTION_PRIORITIES)
+        self.table = table
+        # (time_s, row, cluster, gain set) per switch, row-wise in the
+        # order the scalar manager's gain log records them.
         self.gain_events: list[tuple[float, int, str, str]] = []
-        self.rows = [
-            _RowSupervisor(self, row, self.verified, thresholds)
-            for row in range(n)
-        ]
+        # Per-row supervisor state and EventAbstractor counters.
+        self.supervisor_state = np.full(n, table.initial, dtype=np.int64)  # repro: shape[(N,) i8]
+        self.capping = np.zeros(n, dtype=bool)  # repro: shape[(N,) b1]
+        self._since_critical = np.zeros(n, dtype=np.int64)  # repro: shape[(N,) i8]
+        self._over_cap_streak = np.zeros(n, dtype=np.int64)  # repro: shape[(N,) i8]
+        self._below_uncapping = np.zeros(n, dtype=np.int64)  # repro: shape[(N,) i8]
+        self.big_power_ref_w = np.full(  # repro: shape[(N,) f8]
+            n, INITIAL_BIG_SHARE * goals.power_budget_w
+        )
+        self.little_power_ref_w = np.full(  # repro: shape[(N,) f8]
+            n,
+            max(
+                LITTLE_POWER_FLOOR_W,
+                INITIAL_LITTLE_SHARE * goals.power_budget_w,
+            ),
+        )
+        n_actions = table.idle  # repro: shape[int[A]]
+        self._guards = np.ones((n, n_actions + 1), dtype=bool)  # repro: shape[(N, A+1) b1]
+        self._choice = np.empty(n, dtype=np.int64)  # repro: shape[(N,) i8]
         self._y_big = np.empty((n, 2), dtype=float)
         self._y_little = np.empty((n, 2), dtype=float)
+        column = table.event_column
+        self._critical = column(CRITICAL)
+        self._safe_power = column(SAFE_POWER)
+        self._qos_met = column(QOS_MET)
+        self._qos_not_met = column(QOS_NOT_MET)
+        action = table.actions.index
+        self._guard_columns = (
+            action(DECREASE_BIG_POWER),
+            action(INCREASE_BIG_POWER),
+            action(DECREASE_LITTLE_POWER),
+            action(INCREASE_LITTLE_POWER),
+        )
+        self._effects = [_EFFECTS[name] for name in table.actions]
         self._tick = 0
         self._refs_dirty = True
         self._written_qos_reference: float | None = None
-        self._pending: dict[str, list[tuple[int, list[int]]]] = {
-            "big": [],
-            "little": [],
-        }
-
-    # -- switch batching -----------------------------------------------
-    def _pend_switch(self, cluster_key: str, row: int, gain_id: int) -> None:
-        """Queue one row's gain switch, merging same-gain runs.
-
-        Ops are applied in request order after the supervision pass;
-        merging only *adjacent* same-gain requests preserves each row's
-        switch order (a row's consecutive switches always differ in
-        gain, so they land in different groups).
-        """
-        ops = self._pending[cluster_key]
-        if ops and ops[-1][0] == gain_id:
-            ops[-1][1].append(row)
-        else:
-            ops.append((gain_id, [row]))
 
     # -- control -------------------------------------------------------
     def _control(self, telemetry: FleetTelemetry) -> None:
@@ -674,30 +446,176 @@ class FleetSPECTR(FleetResourceManager):
         self._tick += 1
 
     def _supervise(self, telemetry: FleetTelemetry) -> None:
-        n = self.platform.n_devices
-        chip = _column_list(telemetry.chip_power_w, n)
-        qos = _column_list(telemetry.qos_rate, n)
-        big_power_w = _column_list(telemetry.big.power_w, n)
-        little_power_w = _column_list(telemetry.little.power_w, n)
-        little_ips = _column_list(telemetry.little.ips, n)
-        now = telemetry.time_s
-        for row, supervisor in enumerate(self.rows):
-            view = _RowView(
-                now,
-                qos[row],
-                chip[row],
-                _RowCluster(big_power_w[row], 0.0),
-                _RowCluster(little_power_w[row], little_ips[row]),
+        """One invocation on every row: ``EventAbstractor.classify``
+        then ``SupervisorEngine.invoke`` with SPECTR's priority policy.
+
+        Each action slot picks, per row, the first enabled action whose
+        guard passes, executes it and applies its effect before the
+        next slot re-evaluates the guards, as the scalar engine does.
+        A row left idle by one slot stays idle in the next (its state
+        and everything its guards read are unchanged), which is where
+        the engine stops.
+        """
+        goals = self.goals
+        th = self.thresholds
+        table = self.table
+        state = self.supervisor_state
+        chip = telemetry.chip_power_w
+        over_cap = chip > th.capping_fraction * goals.power_budget_w
+        below = chip < th.uncapping_fraction * goals.power_budget_w
+        below_count = self._below_uncapping
+        below_count += 1
+        below_count *= below
+        streak = self._over_cap_streak
+        streak += 1
+        streak *= over_cap
+        since = self._since_critical
+        since += 1
+        capping = self.capping
+        opened = over_cap & ~capping
+        escalated = (
+            capping & (since >= th.escalation_grace) & (streak >= 2)
+        )
+        closed = capping & ~escalated & (below_count >= th.uncapping_dwell)
+        critical = opened | escalated
+        since *= ~critical
+        capping |= opened
+        capping &= ~closed
+        table.observe(
+            state,
+            np.where(
+                critical,
+                self._critical,
+                np.where(closed, self._safe_power, table.no_event),
+            ),
+        )
+        qos_met = telemetry.qos_rate >= th.qos_tolerance * goals.qos_reference
+        table.observe(
+            state, np.where(qos_met, self._qos_met, self._qos_not_met)
+        )
+        for _ in range(MAX_ACTIONS_PER_INVOCATION):
+            self._evaluate_guards(telemetry)
+            choice = table.select(state, self._guards, self._choice)
+            table.execute(state, choice)
+            fired = np.bincount(choice, minlength=table.idle + 1)
+            for j in np.flatnonzero(fired[: table.idle]).tolist():
+                self._effects[j](self, np.flatnonzero(choice == j), telemetry)
+
+    # -- budget arithmetic (SPECTRManager's, on rows) ------------------
+    def _capping_allocations(self, rows: np.ndarray):
+        budget_w = self.goals.power_budget_w
+        little = _py_min(
+            _py_max(LITTLE_POWER_FLOOR_W, self.little_power_ref_w[rows]),
+            0.15 * budget_w,
+        )
+        big = _py_max(
+            BIG_POWER_FLOOR_W, CAPPING_TARGET_FRACTION * budget_w - little
+        )
+        return big, little
+
+    def _big_headroom_cap(self, rows=slice(None)) -> np.ndarray:
+        return self.goals.power_budget_w - _py_max(
+            LITTLE_POWER_FLOOR_W, self.little_power_ref_w[rows]
+        )
+
+    # -- guards (SPECTRManager's, as one mask column each) -------------
+    def _evaluate_guards(self, telemetry: FleetTelemetry) -> None:
+        big_ref = self.big_power_ref_w
+        little_ref = self.little_power_ref_w
+        ips = telemetry.little.ips
+        guards = self._guards
+        guards.fill(True)
+        dec_big, inc_big, dec_little, inc_little = self._guard_columns
+        np.logical_and(
+            big_ref > telemetry.big.power_w + 0.15,
+            big_ref > BIG_POWER_FLOOR_W,
+            out=guards[:, dec_big],
+        )
+        np.less(big_ref, self._big_headroom_cap() - 0.05, out=guards[:, inc_big])
+        np.logical_and(
+            ips < 0.1,
+            little_ref > LITTLE_POWER_FLOOR_W + 0.02,
+            out=guards[:, dec_little],
+        )
+        np.logical_and(
+            ips > 0.3,
+            little_ref < 0.15 * self.goals.power_budget_w - 0.02,
+            out=guards[:, inc_little],
+        )
+
+    # -- effects (SPECTRManager's, as masked writes on ``rows``) -------
+    def _switch(self, rows: np.ndarray, gain_id: int, time_s: float) -> None:
+        """``ClusterMIMO.switch_gains`` on both clusters of ``rows``."""
+        gains = FLEET_GAIN_NAMES[gain_id]
+        for key, servo in (("big", self.big_servo), ("little", self.little_servo)):
+            moved = rows[servo.gain_ids[rows] != gain_id]
+            if moved.size:
+                servo.switch_rows(moved, gain_id)
+                self.gain_events.extend(
+                    (time_s, row, key, gains) for row in moved.tolist()
+                )
+
+    def _effect_switch_power_gains(self, rows, telemetry) -> None:
+        if self.enable_gain_scheduling:
+            self._switch(rows, _POWER_ID, telemetry.time_s)
+
+    def _effect_switch_qos_gains(self, rows, telemetry) -> None:
+        if self.enable_gain_scheduling:
+            self._switch(rows, _QOS_ID, telemetry.time_s)
+        if self.enable_reference_regulation:
+            budget_w = self.goals.power_budget_w
+            self.big_power_ref_w[rows] = INITIAL_BIG_SHARE * budget_w
+            self.little_power_ref_w[rows] = max(
+                LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * budget_w
             )
-            supervisor.supervise(view)
-        for cluster_key, servo in (
-            ("big", self.big_servo),
-            ("little", self.little_servo),
-        ):
-            ops = self._pending[cluster_key]
-            for gain_id, rows in ops:
-                servo.switch_rows(rows, gain_id)
-            ops.clear()
+            self._refs_dirty = True
+
+    def _effect_control_power(self, rows, telemetry) -> None:
+        if self.enable_reference_regulation:
+            big, little = self._capping_allocations(rows)
+            self.big_power_ref_w[rows] = big
+            self.little_power_ref_w[rows] = little
+            self._refs_dirty = True
+
+    def _effect_decrease_critical(self, rows, telemetry) -> None:
+        if self.enable_reference_regulation:
+            big, little = self._capping_allocations(rows)
+            self.big_power_ref_w[rows] = _py_max(
+                BIG_POWER_FLOOR_W, HARD_DROP_FACTOR * big
+            )
+            self.little_power_ref_w[rows] = _py_max(
+                LITTLE_POWER_FLOOR_W, HARD_DROP_FACTOR * little
+            )
+            self._refs_dirty = True
+
+    def _effect_decrease_big(self, rows, telemetry) -> None:
+        if self.enable_reference_regulation:
+            self.big_power_ref_w[rows] = _py_max(
+                BIG_POWER_FLOOR_W, telemetry.big.power_w[rows] + 0.10
+            )
+            self._refs_dirty = True
+
+    def _effect_increase_big(self, rows, telemetry) -> None:
+        if self.enable_reference_regulation:
+            self.big_power_ref_w[rows] = _py_min(
+                self._big_headroom_cap(rows), self.big_power_ref_w[rows] + 0.30
+            )
+            self._refs_dirty = True
+
+    def _effect_decrease_little(self, rows, telemetry) -> None:
+        if self.enable_reference_regulation:
+            self.little_power_ref_w[rows] = _py_max(
+                LITTLE_POWER_FLOOR_W, telemetry.little.power_w[rows] + 0.05
+            )
+            self._refs_dirty = True
+
+    def _effect_increase_little(self, rows, telemetry) -> None:
+        if self.enable_reference_regulation:
+            self.little_power_ref_w[rows] = _py_min(
+                0.15 * self.goals.power_budget_w,
+                self.little_power_ref_w[rows] + 0.10,
+            )
+            self._refs_dirty = True
 
     def _refresh_references(self) -> None:
         qos_reference = self.goals.qos_reference
@@ -708,11 +626,11 @@ class FleetSPECTR(FleetResourceManager):
             return
         big_refs = self.big_servo.references
         big_refs[:, 0] = qos_reference
-        big_refs[:, 1] = [s.big_power_ref_w for s in self.rows]
+        big_refs[:, 1] = self.big_power_ref_w
         self.big_servo.refresh_references()
         little_refs = self.little_servo.references
         little_refs[:, 0] = SPECTR_LITTLE_IPS_REFERENCE
-        little_refs[:, 1] = [s.little_power_ref_w for s in self.rows]
+        little_refs[:, 1] = self.little_power_ref_w
         self.little_servo.refresh_references()
         self._refs_dirty = False
         self._written_qos_reference = qos_reference
@@ -722,8 +640,17 @@ class FleetSPECTR(FleetResourceManager):
         return self.big_servo.gain_ids
 
 
-def _column_list(values, n: int) -> list[float]:
-    """An (N,) array (or fleet-wide scalar) as a list of Python floats."""
-    if isinstance(values, np.ndarray):
-        return values.tolist()
-    return [float(values)] * n
+# Action effects as plain functions, called with the manager: bound
+# methods stored on the instance would make every manager a reference
+# cycle that only the cyclic collector frees, with its platform and
+# trace arrays.
+_EFFECTS = {
+    SWITCH_GAINS: FleetSPECTR._effect_switch_power_gains,
+    SWITCH_QOS: FleetSPECTR._effect_switch_qos_gains,
+    CONTROL_POWER: FleetSPECTR._effect_control_power,
+    DECREASE_CRITICAL_POWER: FleetSPECTR._effect_decrease_critical,
+    DECREASE_BIG_POWER: FleetSPECTR._effect_decrease_big,
+    INCREASE_BIG_POWER: FleetSPECTR._effect_increase_big,
+    DECREASE_LITTLE_POWER: FleetSPECTR._effect_decrease_little,
+    INCREASE_LITTLE_POWER: FleetSPECTR._effect_increase_little,
+}

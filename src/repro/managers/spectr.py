@@ -47,6 +47,7 @@ HARD_DROP_FACTOR = 0.85  # decreaseCriticalPower's cut below the target
 BIG_POWER_FLOOR_W = 0.6
 LITTLE_POWER_FLOOR_W = 0.10
 LITTLE_IPS_REFERENCE = 1.5  # generous: serve background work freely
+MAX_ACTIONS_PER_INVOCATION = 2
 
 ACTION_PRIORITIES = (
     SWITCH_GAINS,
@@ -118,7 +119,7 @@ class SPECTRManager(ResourceManager):
                 DECREASE_LITTLE_POWER: self._guard_decrease_little,
                 INCREASE_LITTLE_POWER: self._guard_increase_little,
             },
-            max_actions_per_invocation=2,
+            max_actions_per_invocation=MAX_ACTIONS_PER_INVOCATION,
         )
         self._effects = {
             SWITCH_GAINS: self._effect_switch_power_gains,

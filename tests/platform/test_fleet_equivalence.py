@@ -10,7 +10,9 @@ that contract at every layer:
   ticks) across fleet sizes, workloads, background mixes and seeds,
   with mid-run noise-chunk refills;
 * managers: every paper manager's closed-loop fleet run equals the
-  scalar runner row for row, gain switches included;
+  scalar runner row for row, gain switches included; fleet SPECTR's
+  compiled supervisor also across its period, ablation switches and
+  tight three-band thresholds;
 * exec: faulted rows spliced by :func:`execute_fleet` equal scalar
   fault-injected jobs;
 * guards: configurations the kernel does not reproduce (idle
@@ -35,16 +37,24 @@ from repro.control.batch import (
     _matvec_columns,
 )
 from repro.control.lqg import LQGServoController
-from repro.exec.fleet_jobs import FleetScenarioJob, execute_fleet
+from repro.core.alphabet import DECREASE_CRITICAL_POWER, SAFE_POWER
+from repro.core.events import ThreeBandThresholds
+from repro.exec.fleet_jobs import (
+    FleetScenarioJob,
+    build_fleet_manager_factory,
+    execute_fleet,
+)
 from repro.exec.job import FaultSpec, ScenarioJob, derive_seed
 from repro.exec.scenario_jobs import execute
 from repro.experiments.figures import (
     MANAGER_NAMES,
+    case_study_supervisor,
     identified_systems,
     manager_factory,
 )
 from repro.experiments.fleet import fleet_manager_factory, run_fleet_scenario
 from repro.experiments.runner import run_scenario
+from repro.managers.fleet import FleetSPECTR
 from repro.managers.mimo import (
     POWER_GAINS,
     QOS_GAINS,
@@ -52,6 +62,7 @@ from repro.managers.mimo import (
     cluster_actuator_limits,
 )
 from repro.experiments.scenario import three_phase_scenario
+from repro.managers.spectr import SPECTRManager
 from repro.platform.faults import ActuatorFaultModel, inject_actuator_fault
 from repro.platform.fleet import FleetPlatform
 from repro.platform.opp import OPP, OPPTable, big_cluster_opps
@@ -230,6 +241,109 @@ class TestManagerDifferential:
                 assert np.array_equal(
                     getattr(row, field), getattr(scalar, field)
                 ), f"{manager} row {index} {field}"
+
+
+class TestSPECTRDifferential:
+    """Fleet SPECTR's compiled supervisor vs per-row ``SPECTRManager``.
+
+    Covers the supervisor period, both ablation switches and tight
+    three-band thresholds under which the escalation ``critical`` and
+    ``safePower`` both fire; every row's trace and gain-switch log must
+    match its scalar run exactly.
+    """
+
+    N_ROWS = 8
+    CASES = {
+        "period-1": {"supervisor_period_epochs": 1},
+        "period-3": {"supervisor_period_epochs": 3, "manager_name": "SPECTR-3"},
+        "no-gain-scheduling": {"enable_gain_scheduling": False},
+        "no-reference-regulation": {"enable_reference_regulation": False},
+        "tight-bands": {
+            "thresholds": ThreeBandThresholds(
+                escalation_grace=1, uncapping_dwell=1
+            )
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_match_scalar_runs(self, case, systems):
+        params = self.CASES[case]
+        supervisor = case_study_supervisor()
+        if "thresholds" in params:
+
+            def fleet_factory(platform, goals):
+                return FleetSPECTR(
+                    platform,
+                    goals,
+                    big_system=systems.big,
+                    little_system=systems.little,
+                    verified_supervisor=supervisor,
+                    **params,
+                )
+
+            scalar_kwargs = dict(params)
+        else:
+            fleet_factory = build_fleet_manager_factory(
+                "SPECTR", systems, params
+            )
+            scalar_kwargs = {
+                ("name" if key == "manager_name" else key): value
+                for key, value in params.items()
+            }
+        fleet_managers = []
+
+        def capture_fleet(platform, goals):
+            manager = fleet_factory(platform, goals)
+            fleet_managers.append(manager)
+            return manager
+
+        scenario = three_phase_scenario(phase_duration_s=1.0)
+        seeds = _row_seeds(2018, self.N_ROWS)
+        fleet_trace = run_fleet_scenario(
+            capture_fleet, x264(), scenario, seeds=seeds
+        )
+        (fleet,) = fleet_managers
+        executed: list[str] = []
+        observed: list[str] = []
+        for index, seed in enumerate(seeds):
+            scalars = []
+            scalar = run_scenario(
+                lambda soc, goals: SPECTRManager(
+                    soc,
+                    goals,
+                    big_system=systems.big,
+                    little_system=systems.little,
+                    verified_supervisor=supervisor,
+                    **scalar_kwargs,
+                ),
+                x264(),
+                scenario,
+                seed=seed,
+                manager_setup=scalars.append,
+            )
+            row = fleet_trace.row(index)
+            assert row.gain_sets == scalar.gain_sets, (case, index)
+            for field in TRACE_FIELDS:
+                assert np.array_equal(
+                    getattr(row, field), getattr(scalar, field)
+                ), f"{case} row {index} {field}"
+            (manager,) = scalars
+            row_events = [
+                (t, cluster, gains)
+                for t, r, cluster, gains in fleet.gain_events
+                if r == index
+            ]
+            assert row_events == manager.gain_log.entries, (case, index)
+            assert (
+                fleet.table.state_names[fleet.supervisor_state[index]]
+                == manager.engine.state.name
+            ), (case, index)
+            for record in manager.engine.trace:
+                executed.extend(record.executed)
+                observed.extend(record.observed)
+        if case == "tight-bands":
+            assert DECREASE_CRITICAL_POWER in executed
+            assert SAFE_POWER in observed
 
 
 class TestFaultedRowSplice:
