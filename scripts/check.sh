@@ -39,7 +39,7 @@
 #   * the fleet-kernel benchmark (quick mode, FLEET_QUICK=1) fails to
 #     complete or to emit valid JSON with MM-Perf and SPECTR rows.
 #     Quick mode runs a small fleet with no speedup assertion; the 100x
-#     aggregate-throughput gate and the SPECTR >= 0.4x MM-Perf gate at
+#     aggregate-throughput gate and the SPECTR >= 0.55x MM-Perf gate at
 #     N=1000 run in the full benchmark
 #     (`python -m pytest benchmarks/bench_fleet.py`),
 #   * the symbolic-synthesis benchmark (quick mode, SYNTH_QUICK=1)

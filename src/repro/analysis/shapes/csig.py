@@ -80,8 +80,12 @@ def _normalize_ws(text: str) -> str:
 
 
 def _strip_comments(source: str) -> str:
+    """Drop comments and preprocessor lines: a ``#define`` directly
+    above a definition would otherwise read as part of its return type
+    and hide the function from the check."""
     source = re.sub(r"/\*.*?\*/", " ", source, flags=re.DOTALL)
-    return re.sub(r"//[^\n]*", " ", source)
+    source = re.sub(r"//[^\n]*", " ", source)
+    return re.sub(r"^[ \t]*#[^\n]*", " ", source, flags=re.MULTILINE)
 
 
 def _classify_type(decl: str, typedefs: dict[str, str]) -> str:

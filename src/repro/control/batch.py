@@ -30,9 +30,13 @@ A primitive that fails its probe silently falls back to plain
 speed varies.
 
 Rows may run different gain sets simultaneously (SPECTR's supervisor
-switches rows independently): the batch is advanced per gain group via
-gather/scatter, which preserves bit-identity because every operation is
-row-independent.
+switches rows independently).  The servo keeps its rows grouped by gain
+set: a stable row order plus per-set bounds, rebuilt by
+:meth:`BatchedLQGServo.switch_rows`.  The compiled kernel (when its
+probe passed) steps every group in one call, reading rows through the
+order; the numpy path advances each group via gather/scatter and stays
+the fallback and the probe's oracle.  Both preserve bit-identity
+because every operation is row-independent.
 """
 
 from __future__ import annotations
@@ -136,6 +140,19 @@ class BatchedGainSet:
         self.ki_pinv_columns_exact = _matvec_by_columns_exact(  # repro: shape[bool]
             self.K_integral_pinv
         )
+        # The fused kernel's per-set matrices, in its table order; all
+        # but the trailing integral mask carry a probed dot variant.
+        self.kernel_matrices = (
+            self.C,
+            self.A,
+            self.B,
+            self.D,
+            self.L,
+            self.neg_K_state,
+            self.K_integral,
+            self.K_integral_pinv,
+            self.integral_mask,
+        )
         # Per-matrix dot variants for the fused C kernel (None when any
         # matrix has no bit-exact inlined reduction on this machine).
         self.fused_variants = None  # repro: shape[(8,) i1 | none]
@@ -143,16 +160,7 @@ class BatchedGainSet:
         if kernel is not None:
             codes = [
                 dot_variant(kernel, matrix)
-                for matrix in (
-                    self.C,
-                    self.A,
-                    self.B,
-                    self.D,
-                    self.L,
-                    self.neg_K_state,
-                    self.K_integral,
-                    self.K_integral_pinv,
-                )
+                for matrix in self.kernel_matrices[:-1]
             ]
             if None not in codes:
                 self.fused_variants = np.array(codes, dtype=np.int8)
@@ -203,7 +211,13 @@ class BatchedLQGServo:
         self.n_rows = int(n_rows)  # repro: shape[int[N]]
         n, m, p = first.n_states, first.n_inputs, first.n_outputs
         self.gain_ids = np.full(self.n_rows, initial, dtype=np.int8)  # repro: shape[(N,) i1]
-        self._uniform: int | None = int(initial)
+        # Rows grouped by gain id (stable, so ascending within a group):
+        # set s owns _order[_bounds[s]:_bounds[s + 1]].  Both update in
+        # place because the fused call captures their addresses.
+        self._order = np.arange(self.n_rows, dtype=np.int64)  # repro: shape[(N,) i8]
+        self._bounds = np.zeros(len(self.sets) + 1, dtype=np.int64)  # repro: shape[(S+1,) i8]
+        self._uniform: int | None = None
+        self._regroup()
         self.X = np.zeros((self.n_rows, n), dtype=float)  # repro: shape[(N, n) f8]
         self.Z = np.zeros((self.n_rows, p), dtype=float)  # repro: shape[(N, p) f8]
         self.DU = np.zeros((self.n_rows, m), dtype=float)  # repro: shape[(N, m) f8]
@@ -243,17 +257,33 @@ class BatchedLQGServo:
         self.invocations = 0  # repro: shape[int]
         # Compiled whole-step kernel: enabled only when available for
         # these dimensions AND a differential probe reproduces the
-        # numpy path bit-for-bit for every gain set in the palette.
+        # numpy path bit-for-bit for every gain set in the palette, on
+        # uniform and mixed gain-id layouts.
         self._dims = (n, m, p)
         self._fused = None
-        self._fused_tails = None
+        self._fused_tail = None
         kernel = fused_kernel()
         if (
             kernel is not None
             and kernel.fits(n, m, p)
             and all(g.fused_variants is not None for g in self.sets)
         ):
-            if self._probe_fused(kernel):
+            # Per-set table for the kernel: matrix addresses in the C
+            # entry point's order, and the probed dot variants.
+            self._set_mats = np.array(  # repro: shape[(S, 9) i8]
+                [[a.ctypes.data for a in g.kernel_matrices] for g in self.sets],
+                dtype=np.int64,
+            )
+            self._set_variants = np.stack(  # repro: shape[(S, 8) i1]
+                [g.fused_variants for g in self.sets]
+            )
+            key = self._probe_key()
+            verdict = _PROBE_MEMO.get(key)
+            if verdict is None:
+                verdict = self._probe_fused(kernel)
+                if len(_PROBE_MEMO) < 256:
+                    _PROBE_MEMO[key] = verdict
+            if verdict:
                 self._fused = kernel
 
     # ------------------------------------------------------------------
@@ -301,14 +331,34 @@ class BatchedLQGServo:
             z = np.matvec(g.K_integral_pinv, rhs)
             self.Z[rows] = z * g.integral_mask
         self.gain_ids[rows] = np.int8(new_id)
-        unique = np.unique(self.gain_ids)
-        self._uniform = int(unique[0]) if unique.size == 1 else None
+        self._regroup()
+
+    def _regroup(self) -> None:
+        """Rebuild the row order and group bounds from ``gain_ids``."""
+        counts = np.bincount(self.gain_ids, minlength=len(self.sets))
+        np.cumsum(counts, out=self._bounds[1:])
+        self._order[...] = np.argsort(self.gain_ids, kind="stable")
+        occupied = np.flatnonzero(counts)
+        self._uniform = int(occupied[0]) if occupied.size == 1 else None
+
+    def _groups(self):
+        """``(gain id, ascending row indices)`` for every occupied set."""
+        bounds = self._bounds
+        for gain_id in range(len(self.sets)):
+            lo, hi = int(bounds[gain_id]), int(bounds[gain_id + 1])
+            if lo < hi:
+                yield gain_id, self._order[lo:hi]
+
+    @property
+    def fused_enabled(self) -> bool:
+        """True when steps run the probe-verified compiled kernel."""
+        return self._fused is not None
 
     # ------------------------------------------------------------------
     def step(self, measured_outputs: np.ndarray) -> np.ndarray:
         # repro: shape[measured_outputs: (N, p) f8; -> (N, m) f8]
         """One control interval for every row; returns ``(N, m)`` u."""
-        if self._fused is not None and self._uniform is not None:
+        if self._fused is not None:
             return self._step_fused(measured_outputs)
         return self._step_numpy(measured_outputs)
 
@@ -322,25 +372,20 @@ class BatchedLQGServo:
             or not Y.flags.c_contiguous
         ):
             Y = np.ascontiguousarray(Y, dtype=float)
-        tails = self._fused_tails
-        if tails is None:
-            tails = self._fused_tails = [
-                self._fused_tail(g) for g in self.sets
-            ]
-        n, m, p = self._dims
-        (kernel or self._fused).servo_step_ptrs(
-            self.n_rows, n, m, p, Y.ctypes.data, tails[self._uniform]
-        )
+        tail = self._fused_tail
+        if tail is None:
+            tail = self._fused_tail = self._capture_fused_tail()
+        (kernel or self._fused).servo_step_ptrs(Y.ctypes.data, tail)
         self.invocations += 1
         return self._u_next
 
-    def _fused_tail(self, g: BatchedGainSet) -> tuple:
-        # repro: shape[g: obj[BatchedGainSet]]
-        """Raw pointer arguments for one gain set's fused call.
+    def _capture_fused_tail(self) -> tuple:
+        """Raw post-``Y`` arguments of the fused call.
 
         Captured addresses stay valid because every referenced buffer
-        is updated strictly in place on the fused path; the numpy path
-        rotates buffers, so it drops the cache (``_step_numpy``).
+        is updated strictly in place on the fused path (``_order`` and
+        ``_bounds`` included); the numpy path rotates buffers, so it
+        drops the cache (``_step_numpy``).
         """
         op = self.operating_point
         limits = self.limits
@@ -348,22 +393,22 @@ class BatchedLQGServo:
             step_ptr, has_step = limits.lower.ctypes.data, 0
         else:
             step_ptr, has_step = limits.max_step.ctypes.data, 1
+        n, m, p = self._dims
         return (
+            n,
+            m,
+            p,
+            len(self.sets),
+            self._order.ctypes.data,
+            self._bounds.ctypes.data,
+            self._set_mats.ctypes.data,
+            self._set_variants.ctypes.data,
             self._dr.ctypes.data,
             self.X.ctypes.data,
             self.Z.ctypes.data,
             self.DU.ctypes.data,
             self.U_prev.ctypes.data,
             self._u_next.ctypes.data,
-            g.C.ctypes.data,
-            g.A.ctypes.data,
-            g.B.ctypes.data,
-            g.D.ctypes.data,
-            g.L.ctypes.data,
-            g.neg_K_state.ctypes.data,
-            g.K_integral.ctypes.data,
-            g.K_integral_pinv.ctypes.data,
-            g.integral_mask.ctypes.data,
             op.y.ctypes.data,
             op.y_scale.ctypes.data,
             op.u.ctypes.data,
@@ -374,7 +419,6 @@ class BatchedLQGServo:
             step_ptr,
             has_step,
             self.anti_windup,
-            g.fused_variants.ctypes.data,
         )
 
     def _step_numpy(self, measured_outputs: np.ndarray) -> np.ndarray:
@@ -386,9 +430,8 @@ class BatchedLQGServo:
             du = self._advance(self.sets[self._uniform], dy, None)
         else:
             du = self._du_scatter
-            for gain_id in np.unique(self.gain_ids):
-                idx = np.flatnonzero(self.gain_ids == gain_id)
-                du[idx] = self._advance(self.sets[int(gain_id)], dy, idx)
+            for gain_id, idx in self._groups():
+                du[idx] = self._advance(self.sets[gain_id], dy, idx)
         u_raw = np.multiply(du, op.u_scale, out=self._u_raw)
         np.add(op.u, u_raw, out=u_raw)
         limits = self.limits
@@ -414,7 +457,7 @@ class BatchedLQGServo:
         self.DU = du_next
         self._u_next = self.U_prev
         self.U_prev = u
-        self._fused_tails = None
+        self._fused_tail = None
         self.invocations += 1
         return u
 
@@ -495,11 +538,43 @@ class BatchedLQGServo:
         self._z_spare, self.Z = Z, z_new
         return du
 
+    def _probe_key(self) -> tuple:
+        """Every input :meth:`_probe_fused` reads, as a hashable key."""
+        op, limits = self.operating_point, self.limits
+        arrays = [op.y, op.y_scale, op.u, op.u_scale, limits.lower, limits.upper]
+        if limits.max_step is not None:
+            arrays.append(limits.max_step)
+        for g in self.sets:
+            arrays.extend(g.kernel_matrices)
+        return (
+            self.n_rows,
+            self.anti_windup,
+            limits.max_step is None,
+            tuple((a.shape, a.tobytes()) for a in arrays),
+        )
+
+    def _probe_layouts(self) -> list[np.ndarray]:
+        """Gain-id layouts the fused probe steps through, in order.
+
+        Every set uniform, then (palettes of two or more) rows
+        alternating across sets and runs of three rows per set: lane
+        blocks of the row space mix sets, the kernel's blocks gather
+        rows from across the batch, and groups end in partial blocks.
+        """
+        rows = np.arange(self.n_rows)
+        count = len(self.sets)
+        layouts = [np.full(self.n_rows, s) for s in range(count)]
+        if count > 1:
+            layouts.append(rows % count)
+            layouts.append(rows // 3 % count)
+        return layouts
+
     def _probe_fused(self, kernel) -> bool:
         """Differential gate for the compiled kernel.
 
         Runs the numpy and fused paths over identical random inputs —
-        covering every gain set and both saturated and unsaturated
+        covering every gain set uniformly, mixed gain-id layouts (see
+        :meth:`_probe_layouts`) and both saturated and unsaturated
         regimes — and enables the kernel only on bit-exact agreement
         of every output and every piece of internal state.
         """
@@ -509,7 +584,6 @@ class BatchedLQGServo:
             self.DU.copy(),
             self.U_prev.copy(),
             self.gain_ids.copy(),
-            self._uniform,
             self.invocations,
         )
         op = self.operating_point
@@ -521,9 +595,9 @@ class BatchedLQGServo:
                 self._restore_probe_state(saved)
                 rng = np.random.default_rng(0xF05ED)
                 run: list[np.ndarray] = []
-                for set_index in range(len(self.sets)):
-                    self.gain_ids[:] = np.int8(set_index)
-                    self._uniform = set_index
+                for layout in self._probe_layouts():
+                    self.gain_ids[:] = layout
+                    self._regroup()
                     for scale in (0.5, 3.0, 50.0):
                         for _ in range(2):
                             Y = op.y + op.y_scale * scale * (
@@ -550,13 +624,13 @@ class BatchedLQGServo:
         ) and all(np.array_equal(a, b) for a, b in zip(finals[0], finals[1]))
 
     def _restore_probe_state(self, saved) -> None:
-        X, Z, DU, U_prev, gain_ids, uniform, invocations = saved
+        X, Z, DU, U_prev, gain_ids, invocations = saved
         self.X[...] = X
         self.Z[...] = Z
         self.DU[...] = DU
         self.U_prev[...] = U_prev
         self.gain_ids[...] = gain_ids
-        self._uniform = uniform
+        self._regroup()
         self.invocations = invocations
 
     def _apply_anti_windup(self, excess: np.ndarray) -> None:
@@ -578,18 +652,23 @@ class BatchedLQGServo:
                 row_mask[:, None], self.Z + anti_windup * correction, self.Z
             )
             return
-        for gain_id in np.unique(self.gain_ids):
-            idx = np.flatnonzero(self.gain_ids == gain_id)
+        for gain_id, idx in self._groups():
             group_excess = excess[idx]
             if not group_excess.any():
                 continue
-            g = self.sets[int(gain_id)]
+            g = self.sets[gain_id]
             row_mask = _saturated_rows(group_excess)
             correction = np.matvec(g.K_integral_pinv, group_excess)
             Z = self.Z[idx]
             self.Z[idx] = np.where(
                 row_mask[:, None], Z + anti_windup * correction, Z
             )
+
+
+# Fused-probe verdicts keyed by every probe input (``_probe_key``).  The
+# probe is deterministic, so identical servos always re-derive the same
+# verdict; fleet runs rebuild identical servos per run.
+_PROBE_MEMO: dict[tuple, bool] = {}
 
 
 def _saturated_rows(excess: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ anything we did not write explicitly):
 
 * ``fused_servo_step`` — the entire per-row
   ``LQGServoController.step`` recurrence with every dot product
-  inlined (used by :mod:`repro.control.batch`);
+  inlined (used by :mod:`repro.control.batch`).  Rows may hold
+  different gain sets: the caller passes a row order grouped by set,
+  the group bounds and a per-set table of matrix pointers and dot
+  variants, and each group runs as 8-lane blocks of its own rows;
 * ``fleet_telemetry`` — the per-row cluster sensor read
   (``soc.read_cluster_telemetry`` mirror in ``platform/fleet.py``);
 * ``opp_snap`` — the per-row DVFS table snap
@@ -29,7 +32,8 @@ it bit-for-bit on random data, or ``None`` when no candidate matches —
 in which case the caller keeps the numpy path.  On top of the
 per-matrix probe, :class:`~repro.control.batch.BatchedLQGServo` only
 enables the kernel after an end-to-end differential probe shows the
-fused step reproduces the numpy path bit-for-bit for every gain set.
+fused step reproduces the numpy path bit-for-bit for every gain set,
+alone and in mixed row layouts.
 
 The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
@@ -112,8 +116,9 @@ static void matvec(const double *M, i64 r, i64 k, int variant,
     for (i = 0; i < r; ++i) out[i] = dot(variant, M + i * k, x, k);
 }
 
-/* Shared per-call servo context: dimensions, state pointers, gain
- * matrices, operating point and limits. */
+/* Shared per-call servo context: dimensions, state pointers, the
+ * current gain set's matrices and dot variants, operating point and
+ * limits. */
 typedef struct {
     i64 n, m, p;
     const double *Y, *dr;
@@ -126,16 +131,17 @@ typedef struct {
     int vC, vA, vB, vD, vL, vK, vKi, vP;
 } servo_ctx;
 
-/* One LQGServoController.step for rows [r0, r1).  Elementwise algebra
- * mirrors the scalar source line for line.  X, Z, DU, U_prev update
- * in place; U_out receives the saturated physical command. */
-static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
+/* One LQGServoController.step for rows[0 .. count).  Elementwise
+ * algebra mirrors the scalar source line for line.  X, Z, DU, U_prev
+ * update in place; U_out receives the saturated physical command. */
+static void servo_rows(const servo_ctx *c, const i64 *rows, i64 count)
 {
     double dy[32], ypred[32], resid[32], tmp[32], xnew[32];
     double du[32], kiz[32], uraw[32], exc[32], corr[32];
     const i64 n = c->n, m = c->m, p = c->p;
-    i64 r, i, j;
-    for (r = r0; r < r1; ++r) {
+    i64 k, i, j;
+    for (k = 0; k < count; ++k) {
+        const i64 r = rows[k];
         const double *y = c->Y + r * p;
         const double *drr = c->dr + r * p;
         double *x = c->X + r * n;
@@ -277,10 +283,10 @@ static void matvec4(const double *M, i64 r, i64 k, int variant,
         dot4(variant, M + i * k, xT, k, outT + i * LANES);
 }
 
-/* One full LANES-row block: transpose in, lane-parallel step,
- * scatter out.  Per-lane op order matches servo_rows statement for
- * statement. */
-static void servo_block(const servo_ctx *c, i64 r0)
+/* One full block of LANES rows (rows[0 .. LANES), all on the context's
+ * gain set): transpose in, lane-parallel step, scatter out.  Per-lane
+ * op order matches servo_rows statement for statement. */
+static void servo_block(const servo_ctx *c, const i64 *rows)
 {
     double xT[32 * LANES], dupT[32 * LANES], dyT[32 * LANES];
     double ypredT[32 * LANES], tmpT[32 * LANES], xnewT[32 * LANES];
@@ -288,21 +294,24 @@ static void servo_block(const servo_ctx *c, i64 r0)
     double urawT[32 * LANES], uoutT[32 * LANES], excT[32 * LANES];
     double excl[32], corr[32];
     const i64 n = c->n, m = c->m, p = c->p;
+    i64 r[LANES];
     i64 i, j, jj;
     int l;
 
+    /* Local copy: stores through X, Z, DU cannot alias it. */
+    for (l = 0; l < LANES; ++l) r[l] = rows[l];
     for (i = 0; i < n; ++i)
         for (l = 0; l < LANES; ++l)
-            xT[i * LANES + l] = c->X[(r0 + l) * n + i];
+            xT[i * LANES + l] = c->X[r[l] * n + i];
     for (j = 0; j < m; ++j)
         for (l = 0; l < LANES; ++l)
-            dupT[j * LANES + l] = c->DU[(r0 + l) * m + j];
+            dupT[j * LANES + l] = c->DU[r[l] * m + j];
 
     /* dy = (y - op.y) / y_scale */
     for (i = 0; i < p; ++i)
         for (l = 0; l < LANES; ++l)
             dyT[i * LANES + l] =
-                (c->Y[(r0 + l) * p + i] - c->op_y[i]) / c->y_scale[i];
+                (c->Y[r[l] * p + i] - c->op_y[i]) / c->y_scale[i];
 
     /* y_pred = C @ x + D @ du_prev */
     matvec4(c->Cm, p, n, c->vC, xT, ypredT);
@@ -330,15 +339,15 @@ static void servo_block(const servo_ctx *c, i64 r0)
                 xnewT[i * LANES + l] + ypredT[i * LANES + l];
     for (i = 0; i < n; ++i)
         for (l = 0; l < LANES; ++l)
-            c->X[(r0 + l) * n + i] = xnewT[i * LANES + l];
+            c->X[r[l] * n + i] = xnewT[i * LANES + l];
 
     /* z = z + integral_mask * (dr - dy) */
     for (i = 0; i < p; ++i)
         for (l = 0; l < LANES; ++l)
             zT[i * LANES + l] =
-                c->Z[(r0 + l) * p + i]
+                c->Z[r[l] * p + i]
                 + c->imask[i]
-                      * (c->dr[(r0 + l) * p + i] - dyT[i * LANES + l]);
+                      * (c->dr[r[l] * p + i] - dyT[i * LANES + l]);
 
     /* du = (-K_state) @ xhat - K_integral @ z */
     matvec4(c->negK, m, n, c->vK, xnewT, duT);
@@ -354,8 +363,8 @@ static void servo_block(const servo_ctx *c, i64 r0)
             double cc = raw;
             urawT[j * LANES + l] = raw;
             if (c->has_max_step) {
-                double lo = c->U_prev[(r0 + l) * m + j] - c->max_step[j];
-                double hi = c->U_prev[(r0 + l) * m + j] + c->max_step[j];
+                double lo = c->U_prev[r[l] * m + j] - c->max_step[j];
+                double hi = c->U_prev[r[l] * m + j] + c->max_step[j];
                 cc = (cc > lo) ? cc : lo;
                 cc = (cc < hi) ? cc : hi;
             }
@@ -384,51 +393,61 @@ static void servo_block(const servo_ctx *c, i64 r0)
     /* Scatter state back out. */
     for (i = 0; i < p; ++i)
         for (l = 0; l < LANES; ++l)
-            c->Z[(r0 + l) * p + i] = zT[i * LANES + l];
+            c->Z[r[l] * p + i] = zT[i * LANES + l];
     for (j = 0; j < m; ++j) {
         for (l = 0; l < LANES; ++l) {
             double u = uoutT[j * LANES + l];
-            c->U_out[(r0 + l) * m + j] = u;
-            c->DU[(r0 + l) * m + j] = (u - c->op_u[j]) / c->u_scale[j];
-            c->U_prev[(r0 + l) * m + j] = u;
+            c->U_out[r[l] * m + j] = u;
+            c->DU[r[l] * m + j] = (u - c->op_u[j]) / c->u_scale[j];
+            c->U_prev[r[l] * m + j] = u;
         }
     }
 }
 
-/* Entry point: full blocks of LANES rows, then a scalar remainder.
- * variants[8] gives the probed dot reduction for, in order,
- * C, A, B, D, L, negK, Ki, Kipinv. */
+/* Entry point.  order lists the rows grouped by gain set: set s owns
+ * order[bounds[s] .. bounds[s+1]).  The per-set table holds, for set s,
+ * mats[s*SET_MATS ..] = C, A, B, D, L, negK, Ki, Kipinv, integral mask
+ * and variants[s*SET_VARIANTS ..] = the probed dot reduction for the
+ * first eight.  Each group runs as full LANES-row blocks, then a scalar
+ * remainder; rows never interact, so the grouping changes no value. */
+#define SET_MATS 9
+#define SET_VARIANTS 8
 void fused_servo_step(
-    i64 N, i64 n, i64 m, i64 p,
-    const double *Y, const double *dr,
+    const double *Y, i64 n, i64 m, i64 p, i64 n_sets,
+    const i64 *order, const i64 *bounds,
+    const double *const *mats, const signed char *variants,
+    const double *dr,
     double *X, double *Z, double *DU, double *U_prev, double *U_out,
-    const double *Cm, const double *Am, const double *Bm, const double *Dm,
-    const double *Lm, const double *negK, const double *Ki,
-    const double *Kipinv, const double *imask,
     const double *op_y, const double *y_scale,
     const double *op_u, const double *u_scale, const double *u_scale_safe,
     const double *lower, const double *upper,
     const double *max_step, int has_max_step,
-    double anti_windup, const signed char *variants)
+    double anti_windup)
 {
     servo_ctx c;
-    i64 r0;
-    i64 blocked = N - (N % LANES);
+    i64 s, k;
     c.n = n; c.m = m; c.p = p;
     c.Y = Y; c.dr = dr;
     c.X = X; c.Z = Z; c.DU = DU; c.U_prev = U_prev; c.U_out = U_out;
-    c.Cm = Cm; c.Am = Am; c.Bm = Bm; c.Dm = Dm; c.Lm = Lm;
-    c.negK = negK; c.Ki = Ki; c.Kipinv = Kipinv; c.imask = imask;
     c.op_y = op_y; c.y_scale = y_scale; c.op_u = op_u;
     c.u_scale = u_scale; c.u_scale_safe = u_scale_safe;
     c.lower = lower; c.upper = upper; c.max_step = max_step;
     c.has_max_step = has_max_step;
     c.anti_windup = anti_windup;
-    c.vC = variants[0]; c.vA = variants[1]; c.vB = variants[2];
-    c.vD = variants[3]; c.vL = variants[4]; c.vK = variants[5];
-    c.vKi = variants[6]; c.vP = variants[7];
-    for (r0 = 0; r0 < blocked; r0 += LANES) servo_block(&c, r0);
-    servo_rows(&c, blocked, N);
+    for (s = 0; s < n_sets; ++s) {
+        const double *const *mm = mats + s * SET_MATS;
+        const signed char *vv = variants + s * SET_VARIANTS;
+        const i64 hi = bounds[s + 1];
+        if (bounds[s] == hi) continue;
+        c.Cm = mm[0]; c.Am = mm[1]; c.Bm = mm[2]; c.Dm = mm[3];
+        c.Lm = mm[4]; c.negK = mm[5]; c.Ki = mm[6]; c.Kipinv = mm[7];
+        c.imask = mm[8];
+        c.vC = vv[0]; c.vA = vv[1]; c.vB = vv[2]; c.vD = vv[3];
+        c.vL = vv[4]; c.vK = vv[5]; c.vKi = vv[6]; c.vP = vv[7];
+        for (k = bounds[s]; k + LANES <= hi; k += LANES)
+            servo_block(&c, order + k);
+        servo_rows(&c, order + k, hi - k);
+    }
 }
 
 /* One cluster sensor read per row: the fleet _cluster_telemetry body
@@ -569,13 +588,16 @@ class FusedKernel:
         self._dot = dot
         step = lib.fused_servo_step
         step.restype = None
-        # 4 dims, 23 array pointers, then the max_step pointer (NULLable,
-        # passed as a raw address), has_max_step, anti_windup, variants.
+        # Y, 3 dims and the set count, then the row order, group
+        # bounds, per-set matrix and variant tables, 14 state/operating
+        # point/limit pointers (max_step last), has_max_step,
+        # anti_windup.
         step.argtypes = (
-            [ctypes.c_longlong] * 4
-            + [ctypes.c_void_p] * 24
+            [ctypes.c_void_p]
+            + [ctypes.c_longlong] * 4
+            + [ctypes.c_void_p] * 4
+            + [ctypes.c_void_p] * 14
             + [ctypes.c_int, ctypes.c_double]
-            + [ctypes.c_void_p]
         )
         self._step = step
         telemetry = lib.fleet_telemetry
@@ -611,15 +633,15 @@ class FusedKernel:
             variant, a_row.ctypes.data, x.ctypes.data, a_row.size
         )
 
-    def servo_step_ptrs(self, rows, n, m, p, y_ptr, tail) -> None:
-        """:meth:`servo_step` with every post-``Y`` argument pre-resolved.
+    def servo_step_ptrs(self, y_ptr, tail) -> None:
+        """One servo step with every post-``Y`` argument pre-resolved.
 
         ``tail`` is the tuple of raw pointer/flag/scalar arguments the
         caller captured once (the underlying buffers are updated in
         place between calls, so their addresses are stable until the
         caller rebuilds the tuple).
         """
-        self._step(rows, n, m, p, y_ptr, *tail)
+        self._step(y_ptr, *tail)
 
     def cluster_telemetry(
         self,

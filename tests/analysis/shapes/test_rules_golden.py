@@ -143,6 +143,18 @@ class TestS004CtypesAbi:
             ),
         ]
 
+    def test_definition_after_a_define_is_parsed(self):
+        # A directive line directly above an exported definition must
+        # not read as part of its return type and hide it from S004.
+        from repro.analysis.shapes.csig import parse_c_functions
+
+        functions = parse_c_functions(
+            "typedef long long i64;\n"
+            "#define WIDTH 8\n"
+            "void step(i64 n, const double *x) { (void)n; (void)x; }\n"
+        )
+        assert [p.kind for p in functions["step"].params] == ["i64", "pointer"]
+
 
 class TestS005RngAccounting:
     def test_seeded_draw_count_bugs(self):

@@ -62,3 +62,15 @@ class TestSelfScan:
         params = {p.name: p for p in functions["fused_servo_step"].params}
         assert params["max_step"].kind == "pointer"
         assert params["max_step"].decl == "const double *"
+        # The grouped row order, its bounds and the per-set tables are
+        # pointers the binding passes as raw addresses; the set count
+        # is a 64-bit integer.
+        for name, decl in (
+            ("order", "const i64 *"),
+            ("bounds", "const i64 *"),
+            ("mats", "const double *const *"),
+            ("variants", "const signed char *"),
+        ):
+            assert params[name].kind == "pointer", name
+            assert params[name].decl == decl, name
+        assert params["n_sets"].kind == "i64"

@@ -36,6 +36,7 @@ from repro.control.batch import (
     BatchedLQGServo,
     _matvec_columns,
 )
+from repro.control.fused import fused_kernel
 from repro.control.lqg import LQGServoController
 from repro.core.alphabet import DECREASE_CRITICAL_POWER, SAFE_POWER
 from repro.core.events import ThreeBandThresholds
@@ -566,24 +567,42 @@ class TestServoStateDifferential:
                 assert np.array_equal(u_batch[row], u_scalar), (row, tick)
                 _assert_state_equal(batched, scalar, row, tick)
 
-    def test_mixed_gain_rows_match_scalar_state_bitwise(self, systems):
-        batched, scalars, palette = _servo_pair(systems.big, 4)
+    @pytest.mark.parametrize("n_rows", [4, 13, 64])
+    def test_mixed_gain_rows_match_scalar_state_bitwise(self, n_rows, systems):
+        # Seeded random switches leave 8-lane blocks of the row space
+        # holding both gain sets, and groups of every size mod 8, so
+        # the fused kernel's grouped row order is exercised mid-block.
+        batched, scalars, palette = _servo_pair(systems.big, n_rows)
         op = systems.big.operating_point
+        numpy_steps = []
+        if fused_kernel() is not None:
+            assert batched.fused_enabled
+            numpy_step = batched._step_numpy
+            batched._step_numpy = lambda Y: numpy_steps.append(1) or numpy_step(Y)
         rng = np.random.default_rng(7)
+        mixed_ticks = mixed_blocks = 0
         for tick in range(90):
-            if tick == 30:  # rows 1 and 3 onto the power gain set
-                batched.switch_rows(np.array([1, 3]), 1)
-                scalars[1].switch_gains(palette[1])
-                scalars[3].switch_gains(palette[1])
-            if tick == 60:  # row 3 back; batch stays mixed
-                batched.switch_rows(np.array([3]), 0)
-                scalars[3].switch_gains(palette[0])
-            measured = op.y + op.y_scale * rng.standard_normal((4, 2))
+            if tick >= 20 and tick % 7 == 0:
+                rows = rng.choice(n_rows, rng.integers(1, n_rows), replace=False)
+                new_id = int(rng.integers(len(palette)))
+                batched.switch_rows(rows, new_id)
+                for row in rows:
+                    scalars[row].switch_gains(palette[new_id])
+            ids = batched.gain_ids
+            mixed_ticks += len(np.unique(ids)) > 1
+            mixed_blocks += any(
+                len(np.unique(ids[r : r + 8])) > 1 for r in range(0, n_rows, 8)
+            )
+            measured = op.y + op.y_scale * rng.standard_normal((n_rows, 2))
             u_batch = batched.step(measured)
             for row, scalar in enumerate(scalars):
                 u_scalar = scalar.step(measured[row])
                 assert np.array_equal(u_batch[row], u_scalar), (row, tick)
                 _assert_state_equal(batched, scalar, row, tick)
+        assert mixed_ticks > 0 and mixed_blocks > 0
+        # With the kernel available every tick, mixed ones included,
+        # ran compiled: the numpy gather/scatter path never ran.
+        assert numpy_steps == []
 
     def test_fast_primitives_match_plain_matvec(self, systems):
         # Whichever fast paths the construction probe enabled, their
