@@ -27,7 +27,11 @@ def _scan(cache_dir, baseline):
     from repro.analysis.flow import Baseline, ModuleCache, analyze_project
 
     cache = ModuleCache(cache_dir) if cache_dir is not None else None
-    loaded = Baseline.load(baseline) if baseline is not None else None
+    loaded = (
+        Baseline.load(baseline).restrict("REPRO-F")
+        if baseline is not None
+        else None
+    )
     start = time.perf_counter()
     result = analyze_project([SRC_REPRO], cache=cache, baseline=loaded)
     return result, time.perf_counter() - start

@@ -29,14 +29,18 @@ def _scan(cache_dir, baseline):
     from repro.analysis.shapes import analyze_project, make_cache
 
     cache = make_cache(cache_dir) if cache_dir is not None else None
-    loaded = Baseline.load(baseline) if baseline is not None else None
+    loaded = (
+        Baseline.load(baseline).restrict("REPRO-S")
+        if baseline is not None
+        else None
+    )
     start = time.perf_counter()
     result = analyze_project([SRC_REPRO], cache=cache, baseline=loaded)
     return result, time.perf_counter() - start
 
 
 def test_incremental_shapes_scan(tmp_path, save_result):
-    baseline = SRC_REPRO.parents[1] / "shapes-baseline.json"
+    baseline = SRC_REPRO.parents[1] / "analysis-baseline.json"
     cache_dir = tmp_path / "analysis-cache"
 
     cold, cold_s = _scan(cache_dir, baseline)

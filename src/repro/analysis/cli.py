@@ -31,7 +31,8 @@ conformance, rules REPRO-S000..S005) — see
 
 ``python -m repro.analysis all`` runs every tier — classic
 (lint/artifacts/arch), flow, models, shapes — with each tier's
-canonical roots and committed baseline, prints one combined summary
+canonical roots and its own rule family's entries of the one committed
+``analysis-baseline.json``, prints one combined summary
 table, merges the per-tier SARIF outputs into a single
 ``analysis-report.sarif`` (one run per tool) and exits non-zero if any
 tier fails.  This is the one invocation ``scripts/check.sh`` gates on.
@@ -173,6 +174,7 @@ def flow_main(argv: Sequence[str] | None = None) -> int:
     # Imported here so the classic analyzers keep working even if the
     # flow subpackage is mid-refactor.
     from repro.analysis.flow import (
+        DEFAULT_BASELINE,
         DEFAULT_ENTRY_POINTS,
         Baseline,
         ModuleCache,
@@ -209,9 +211,10 @@ def flow_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         type=Path,
-        default=Path("analysis-baseline.json"),
-        help="baseline file of accepted findings (default: "
-        "analysis-baseline.json; missing file = empty baseline)",
+        default=DEFAULT_BASELINE,
+        help="baseline file of accepted findings; only its REPRO-F "
+        "entries apply (default: analysis-baseline.json; missing file "
+        "= empty baseline)",
     )
     parser.add_argument(
         "--write-baseline",
@@ -248,7 +251,7 @@ def flow_main(argv: Sequence[str] | None = None) -> int:
     cache = None if args.no_cache else ModuleCache(args.cache_dir)
     baseline = None
     if not args.write_baseline and args.baseline.is_file():
-        baseline = Baseline.load(args.baseline)
+        baseline = Baseline.load(args.baseline).restrict("REPRO-F")
     entry_points = tuple(args.entry) if args.entry else DEFAULT_ENTRY_POINTS
 
     result = analyze_project(
@@ -257,7 +260,7 @@ def flow_main(argv: Sequence[str] | None = None) -> int:
     report = result.report
 
     if args.write_baseline:
-        count = write_baseline(list(report), args.baseline)
+        count = write_baseline(list(report), args.baseline, family="REPRO-F")
         print(f"wrote {count} baseline entries to {args.baseline}")
         return 0
 
@@ -297,14 +300,17 @@ def shapes_main(argv: Sequence[str] | None = None) -> int:
 def all_main(argv: Sequence[str] | None = None) -> int:
     """``python -m repro.analysis all [options]`` — every tier, one gate.
 
-    Each tier runs with its canonical roots and committed baseline (the
+    Each tier runs with its canonical roots and applies the entries of
+    its own rule family from ``analysis-baseline.json`` (the
     same configuration ``scripts/check.sh`` used to spell out as four
     separate invocations).  Per-tier JSON/SARIF reports are written as
     secondary outputs next to the merged ``analysis-report.sarif``.
     """
     from repro.analysis.flow import (
+        DEFAULT_BASELINE,
         Baseline,
         ModuleCache,
+        apply_baseline,
         report_to_json,
         report_to_sarif,
     )
@@ -341,10 +347,11 @@ def all_main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def load_baseline(name: str) -> "Baseline | None":
-        path = Path(name)
-        return Baseline.load(path) if path.is_file() else None
-
+    baseline = (
+        Baseline.load(DEFAULT_BASELINE)
+        if DEFAULT_BASELINE.is_file()
+        else Baseline()
+    )
     tiers: list[tuple[str, Report, dict | None]] = []
 
     classic_roots = ["src"] if Path("src").is_dir() else ["."]
@@ -354,7 +361,7 @@ def all_main(argv: Sequence[str] | None = None) -> int:
     flow_result = flow_analyze(
         flow_roots,
         cache=None if args.no_cache else ModuleCache(),
-        baseline=load_baseline("analysis-baseline.json"),
+        baseline=baseline.restrict("REPRO-F"),
     )
     tiers.append(
         ("repro-flow", flow_result.report, flow_result.stats.as_dict())
@@ -362,18 +369,14 @@ def all_main(argv: Sequence[str] | None = None) -> int:
 
     if Path("artifacts").is_dir():
         models_result = models_scan(["artifacts"], cache=None)
-        models_report = models_result.report
-        baseline = load_baseline("models-baseline.json")
-        if baseline is not None:
-            from repro.analysis.flow.baseline import apply_baseline
-
-            models_report = Report(
-                findings=apply_baseline(
-                    sorted(models_report.findings), baseline
-                ),
-                files_checked=models_report.files_checked,
-                artifacts_checked=models_report.artifacts_checked,
-            )
+        models_report = Report(
+            findings=apply_baseline(
+                sorted(models_result.report.findings),
+                baseline.restrict("REPRO-M"),
+            ),
+            files_checked=models_result.report.files_checked,
+            artifacts_checked=models_result.report.artifacts_checked,
+        )
         tiers.append(
             ("repro-models", models_report, models_result.stats.as_dict())
         )
@@ -381,7 +384,7 @@ def all_main(argv: Sequence[str] | None = None) -> int:
     shapes_result = shapes_analyze(
         flow_roots,
         cache=None if args.no_cache else shapes_cache(),
-        baseline=load_baseline("shapes-baseline.json"),
+        baseline=baseline.restrict("REPRO-S"),
     )
     tiers.append(
         ("repro-shapes", shapes_result.report, shapes_result.stats.as_dict())

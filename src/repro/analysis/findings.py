@@ -67,7 +67,6 @@ RULE_REGISTRY: dict[str, str] = {
     "REPRO-L006": "time/power name without unit suffix",
     "REPRO-L007": "exception swallowed in resilience hot path",
     "REPRO-L008": "parallelism imported outside repro.exec",
-    "REPRO-L009": "numpy temporary in step-kernel module",
     "REPRO-L010": "bare sleep or unbounded wait in the execution layer",
     # -- architecture checker (repro.analysis.arch) -------------------
     "REPRO-R001": "architecture layer violation",
@@ -75,7 +74,7 @@ RULE_REGISTRY: dict[str, str] = {
     # -- whole-program flow rules (repro.analysis.flow) ---------------
     "REPRO-F001": "numpy RNG draw without seeded-Generator provenance",
     "REPRO-F002": "statically-unpicklable member on a cross-process type",
-    "REPRO-F003": "numpy temporary reachable from a step-kernel entry point",
+    "REPRO-F003": "numpy temporary on the per-tick hot path",
     "REPRO-F004": "unit-suffix mismatch across a dataflow edge",
     "REPRO-F005": "attribute write to a frozen dataclass instance",
     # -- formal model checker (repro.analysis.models) -----------------

@@ -27,6 +27,7 @@ from repro.analysis.flow.analyze import (
     collect_python_files,
 )
 from repro.analysis.flow.baseline import (
+    DEFAULT_BASELINE,
     Baseline,
     BaselineEntry,
     apply_baseline,
@@ -52,6 +53,7 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "CallGraph",
+    "DEFAULT_BASELINE",
     "DEFAULT_ENTRY_POINTS",
     "DEFAULT_PICKLE_ROOTS",
     "FlowResult",

@@ -125,7 +125,7 @@ def analyze_project(
             analysis = extract_module(source, path_str, module=module)
             stats.reanalyzed += 1
             if cache is not None and analysis.parse_error is None:
-                cache.store(analysis, source)
+                cache.store(module, path_str, source, analysis)
         else:
             stats.cache_hits += 1
         # Later roots win on module-name collisions (same as sys.path).

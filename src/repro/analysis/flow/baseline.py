@@ -1,4 +1,4 @@
-"""Checked-in finding baselines for the flow analyzer.
+"""Checked-in finding baselines for the analyzer tiers.
 
 A baseline file records findings that are *known and accepted* — each
 entry carries a justification and matches on ``(path, rule, message)``
@@ -9,6 +9,12 @@ scans rooted anywhere (absolute paths, other working directories).  Baselined fi
 the report; a baseline entry that matches nothing is itself reported as
 ``REPRO-N002`` (stale baseline), so accepted debt cannot silently
 outlive the code that justified it.
+
+One file, :data:`DEFAULT_BASELINE`, holds the entries of every tier.
+Each tier applies only the entries of its own rule family
+(:meth:`Baseline.restrict`: ``REPRO-F`` flow, ``REPRO-M`` models,
+``REPRO-S`` shapes), so one tier's entry is never stale in another's
+run, and writing one tier's baseline keeps the other tiers' entries.
 
 File format (JSON, diff-reviewable)::
 
@@ -36,6 +42,7 @@ from repro.analysis.findings import Finding, Severity
 
 __all__ = [
     "BASELINE_SCHEMA",
+    "DEFAULT_BASELINE",
     "Baseline",
     "BaselineEntry",
     "apply_baseline",
@@ -43,6 +50,8 @@ __all__ = [
 ]
 
 BASELINE_SCHEMA = "flow-baseline/1"
+
+DEFAULT_BASELINE = Path("analysis-baseline.json")
 
 
 def _normalize(path: str) -> str:
@@ -97,6 +106,15 @@ class Baseline:
         )
         return cls(entries=entries, source=str(path))
 
+    def restrict(self, family: str) -> "Baseline":
+        """The entries whose rule id starts with ``family``."""
+        return Baseline(
+            entries=tuple(
+                e for e in self.entries if e.rule.startswith(family)
+            ),
+            source=self.source,
+        )
+
 
 def apply_baseline(
     findings: list[Finding], baseline: Baseline
@@ -140,9 +158,22 @@ def write_baseline(
     findings: list[Finding],
     path: str | Path,
     *,
+    family: str = "REPRO-",
     justification: str = "accepted via --write-baseline; add a real justification",
 ) -> int:
-    """Serialize current findings as a baseline file; returns entry count."""
+    """Record the ``family`` findings as baseline entries in ``path``.
+
+    Entries of other rule families already in the file are kept.
+    Returns the number of entries written for ``family``.
+    """
+    path = Path(path)
+    kept = []
+    if path.is_file():
+        kept = [
+            vars(entry)
+            for entry in Baseline.load(path).entries
+            if not entry.rule.startswith(family)
+        ]
     entries = [
         {
             "path": _normalize(finding.path),
@@ -154,10 +185,11 @@ def write_baseline(
         for finding in sorted(
             findings, key=lambda f: (f.path, f.rule, f.line, f.message)
         )
-        if finding.rule not in ("REPRO-N001", "REPRO-N002")
+        if finding.rule.startswith(family)
+        and finding.rule not in ("REPRO-N001", "REPRO-N002")
     ]
-    payload = {"schema": BASELINE_SCHEMA, "entries": entries}
-    Path(path).write_text(
+    payload = {"schema": BASELINE_SCHEMA, "entries": kept + entries}
+    path.write_text(
         json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8"
     )
     return len(entries)

@@ -1,19 +1,22 @@
-"""Content-hash-keyed incremental cache for per-module analyses.
+"""Content-hash-keyed incremental cache shared by the analyzer tiers.
 
 Mirrors the sha256-sidecar pattern of ``repro.exec.ResultCache`` (the
 exec layer sits above analysis in the architecture, so the pattern is
-re-implemented here rather than imported): each entry is a pickle of a
-:class:`~repro.analysis.flow.symbols.ModuleAnalysis` stored under a key
+re-implemented here rather than imported): each entry is a pickle of one
+record — a flow :class:`~repro.analysis.flow.symbols.ModuleAnalysis`, a
+shapes scan, or a model-check unit's findings — stored under a key
 derived from ``sha256(schema-salt + module + path + content)``, with a
 ``.sha256`` sidecar over the payload bytes.  A sidecar mismatch (torn
-write, manual tampering) evicts the entry instead of trusting it.
+write, manual tampering) or a payload of the wrong type evicts the
+entry instead of trusting it.
 
-Because the key covers the *content* of the module, cache invalidation
-is automatic: editing a module changes its digest and misses the cache;
-unchanged modules hit regardless of mtime.  The schema salt
-incorporates the analyzer version, so upgrading the extraction logic
-invalidates every entry at once (bump :data:`ANALYSIS_SCHEMA` whenever
-``symbols.py`` changes what it records).
+Because the key covers the *content* (source text or raw artifact
+bytes), cache invalidation is automatic: editing a file changes its
+digest and misses the cache; unchanged files hit regardless of mtime.
+The schema salt incorporates the analyzer version, so upgrading the
+extraction logic invalidates every entry at once (bump
+:data:`ANALYSIS_SCHEMA` whenever ``symbols.py`` changes what it
+records).
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ import tempfile
 from pathlib import Path
 
 from repro import __version__
-from repro.analysis.flow.symbols import ModuleAnalysis, source_digest
+from repro.analysis.flow.symbols import ModuleAnalysis
 
 __all__ = ["ANALYSIS_SCHEMA", "DEFAULT_CACHE_DIR", "ModuleCache"]
 
 # Bump when ModuleAnalysis' recorded facts change shape or semantics.
-ANALYSIS_SCHEMA = "flow-cache/1"
+ANALYSIS_SCHEMA = "flow-cache/2"
 
 DEFAULT_CACHE_DIR = Path(".analysis-cache")
 
@@ -38,11 +41,11 @@ DEFAULT_CACHE_DIR = Path(".analysis-cache")
 class ModuleCache:
     """Pickle-per-module cache with sha256 sidecar integrity checks.
 
-    Parameterized on ``schema`` and ``expected_type`` so other analyzer
-    tiers (the shapes analyzer caches its own per-module scan records)
-    share the storage format without sharing — or colliding on — keys:
-    the schema goes into the salt, so two tiers caching the same source
-    file occupy disjoint entries.
+    Parameterized on ``schema`` and ``expected_type`` so every analyzer
+    tier shares the storage format without sharing — or colliding on —
+    keys: the schema goes into the salt, so two tiers caching the same
+    file occupy disjoint entries.  With ``item_type`` set, a record must
+    also be a sequence of that type, checked element by element.
     """
 
     def __init__(
@@ -51,10 +54,12 @@ class ModuleCache:
         *,
         schema: str = ANALYSIS_SCHEMA,
         expected_type: type = ModuleAnalysis,
+        item_type: type | None = None,
     ) -> None:
         self.root = Path(root)
         self.schema = schema
         self.expected_type = expected_type
+        self.item_type = item_type
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -64,16 +69,24 @@ class ModuleCache:
     def salt(self) -> str:
         return f"{self.schema}/{__version__}"
 
-    def key_for(self, module: str, path: str, source: str) -> str:
-        payload = f"{module}\x00{path}\x00{source}"
-        return source_digest(payload, salt=self.salt)
+    def key_for(self, module: str, path: str, source: str | bytes) -> str:
+        content = source.encode("utf-8") if isinstance(source, str) else source
+        head = f"{self.salt}\x00{module}\x00{path}\x00".encode("utf-8")
+        return hashlib.sha256(head + content).hexdigest()
 
     def _entry_path(self, key: str) -> Path:
         # Two-level fanout keeps directory listings small.
         return self.root / key[:2] / f"{key}.pkl"
 
+    def _valid(self, record: object) -> bool:
+        if not isinstance(record, self.expected_type):
+            return False
+        return self.item_type is None or all(
+            isinstance(item, self.item_type) for item in record
+        )
+
     # -- lookup --------------------------------------------------------
-    def load(self, module: str, path: str, source: str) -> ModuleAnalysis | None:
+    def load(self, module: str, path: str, source: str | bytes):
         key = self.key_for(module, path, source)
         entry = self._entry_path(key)
         sidecar = entry.with_suffix(".pkl.sha256")
@@ -88,24 +101,24 @@ class ModuleCache:
             self.misses += 1
             return None
         try:
-            analysis = pickle.loads(payload)
+            record = pickle.loads(payload)
         except Exception:
-            self._evict(entry, sidecar)
-            self.misses += 1
-            return None
-        if not isinstance(analysis, self.expected_type):
+            record = None
+        if not self._valid(record):
             self._evict(entry, sidecar)
             self.misses += 1
             return None
         self.hits += 1
-        return analysis
+        return record
 
-    def store(self, analysis, source: str) -> None:
-        """Persist one record (anything with ``module``/``path`` attrs)."""
-        key = self.key_for(analysis.module, analysis.path, source)
+    def store(
+        self, module: str, path: str, source: str | bytes, record: object
+    ) -> None:
+        """Persist one record under the key ``load`` looks it up by."""
+        key = self.key_for(module, path, source)
         entry = self._entry_path(key)
         entry.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(analysis, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest()
         # Write-then-rename so a crashed run cannot leave a torn entry
         # that passes the sidecar check.

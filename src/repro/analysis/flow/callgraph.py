@@ -273,25 +273,31 @@ class CallGraph:
     ) -> tuple[set[str], dict[str, str]]:
         """Transitive call-graph closure of the matching entry points.
 
-        Returns ``(reachable, provenance)`` where ``provenance`` maps
-        each reachable function to its BFS predecessor (entry points map
-        to themselves), for building explanatory call chains.
+        Patterns are taken in order: the matches of each pattern that no
+        earlier pattern reached become new roots, and their closure is
+        complete before the next pattern starts.  Returns
+        ``(reachable, provenance)`` where ``provenance`` maps each
+        reachable function to its BFS predecessor (roots map to
+        themselves), so a call chain starts at the earliest pattern that
+        reaches the function.
         """
-        entries = self.index.match_functions(entry_patterns)
         reachable: set[str] = set()
         provenance: dict[str, str] = {}
-        frontier = sorted(entries)
-        for entry in frontier:
-            provenance[entry] = entry
-        while frontier:
-            current = frontier.pop(0)
-            if current in reachable:
-                continue
-            reachable.add(current)
-            for target in sorted(self.edges.get(current, ())):
-                if target not in provenance:
-                    provenance[target] = current
-                    frontier.append(target)
+        for pattern in entry_patterns:
+            frontier = sorted(
+                self.index.match_functions([pattern]) - provenance.keys()
+            )
+            for entry in frontier:
+                provenance[entry] = entry
+            while frontier:
+                current = frontier.pop(0)
+                if current in reachable:
+                    continue
+                reachable.add(current)
+                for target in sorted(self.edges.get(current, ())):
+                    if target not in provenance:
+                        provenance[target] = current
+                        frontier.append(target)
         return reachable, provenance
 
     def call_chain(self, provenance: dict[str, str], qualname: str) -> list[str]:

@@ -17,10 +17,13 @@ cached per-module facts — none of them re-parses source.
   (``ScenarioJob``/``FaultSpec``/``ScenarioTrace``) and exception types
   raised under ``repro.exec`` must not bind statically-unpicklable
   members (lambdas, locks, open handles, generators).
-* **REPRO-F003 — interprocedural hot-path purity.**  The transitive
-  call-graph closure of the step-kernel entry points must stay free of
-  the L009 numpy-temporary constructors, wherever the callee lives —
-  not just in the six statically-listed platform modules.
+* **REPRO-F003 — hot-path purity.**  The transitive call-graph
+  closure of the step entry points and of every function in the
+  per-tick platform modules must stay free of per-call numpy
+  temporaries (``np.clip``/``sum``/``zeros``/``ones``/``empty``),
+  wherever the callee lives.  Construction-time code (``__init__``,
+  ``__post_init__``, module level) and the allowlisted functions are
+  exempt.
 * **REPRO-F004 — unit-suffix dataflow.**  The module-local half
   (assignments, additive/comparison mixes) is computed during
   extraction; this module adds the cross-call half: an argument whose
@@ -55,26 +58,39 @@ __all__ = [
     "run_all_rules",
 ]
 
-# Step-kernel entry points (REPRO-F003), as fnmatch patterns over
-# function qualnames.  `_control` is the per-tick decision hook of
-# every resource manager (template method in managers/base.py).
+# Hot-path roots (REPRO-F003), as fnmatch patterns over function
+# qualnames.  The step entry points come first: `_control` is the
+# per-tick decision hook of every resource manager (template method in
+# managers/base.py).  Then every function of the per-tick platform
+# modules is a root of its own, so a call-graph miss cannot hide a
+# temporary there; a function a step entry point reaches keeps the
+# call chain from that entry point (see CallGraph.closure).
 DEFAULT_ENTRY_POINTS: tuple[str, ...] = (
     "repro.platform.soc.ExynosSoC.step",
     "repro.platform.manycore.ManyCoreSoC.step",
     "repro.platform.soc.read_cluster_telemetry",
     "repro.platform.fleet.FleetPlatform.step",
     "repro.managers.*._control",
+    *(
+        f"repro.platform.{module}.*"
+        for module in (
+            "soc", "sensors", "scheduler", "opp", "perf", "power",
+            "manycore", "fleet",
+        )
+    ),
 )
 
-# Functions reachable from an entry point but exempt from REPRO-F003:
-# differential probes that machine-verify a compiled fast path.  They
-# run once (at construction or on first use, behind a sticky flag), so
-# their numpy temporaries never recur per tick.
+# Functions exempt from REPRO-F003 (a nested def shares its enclosing
+# function's exemption).  The idle-insertion helpers keep numpy's
+# pairwise reduction order, which is itself the bit-identity contract
+# with the golden traces; `_resolve_snap_kernel` machine-verifies the
+# compiled OPP snap once, on first use behind a sticky flag, so its
+# temporaries never recur per tick.
 DEFAULT_HOT_PATH_ALLOWED: frozenset[str] = frozenset(
     {
+        "_telemetry_with_idle_insertion",
+        "_idle_adjusted_capacity",
         "_resolve_snap_kernel",
-        "_probe_cluster_telemetry",
-        "_dot_variant_probe",
     }
 )
 

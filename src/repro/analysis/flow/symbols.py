@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.lint import _L009_NUMPY_CALLS
 from repro.analysis.flow.dataflow import (
     ForwardAnalysis,
     expr_statements,
@@ -48,6 +47,9 @@ __all__ = [
 
 # Pseudo-function holding module-level statements' facts.
 MODULE_SCOPE = "<module>"
+
+# numpy attributes that allocate or reduce per call (REPRO-F003).
+_NUMPY_TEMPORARY_CALLS = frozenset({"clip", "sum", "zeros", "ones", "empty"})
 
 # Constructors whose instances cannot cross a spawn boundary (REPRO-F002).
 _UNPICKLABLE_CONSTRUCTORS = {
@@ -314,7 +316,10 @@ class _FunctionPass(ForwardAnalysis):
         imports: _ImportMap,
         qualname: str,
         cls: str | None,
+        *,
+        inline_closures: bool = True,
     ) -> None:
+        self.inline_closures = inline_closures
         self.module = module
         self.path = path
         self.imports = imports
@@ -377,6 +382,18 @@ class _FunctionPass(ForwardAnalysis):
         return None
 
     def on_statement(self, stmt: ast.stmt, env: dict) -> None:
+        if self.inline_closures and isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            # A nested def runs as part of its enclosing function, so
+            # its facts (calls, numpy temporaries, ...) are the
+            # enclosing function's: it inherits that function's call
+            # chains and hot-path exemptions.
+            closure_env, params = _initial_env(stmt, self.imports)
+            shadowed = {name for name, _ in params}
+            inner = {k: v for k, v in env.items() if k not in shadowed}
+            inner.update(closure_env)
+            self._exec_block(stmt.body, inner)
         if isinstance(stmt, ast.Raise) and stmt.exc is not None:
             exc = stmt.exc
             func = exc.func if isinstance(exc, ast.Call) else exc
@@ -493,7 +510,7 @@ class _FunctionPass(ForwardAnalysis):
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id in self._numpy_aliases
-            and func.attr in _L009_NUMPY_CALLS
+            and func.attr in _NUMPY_TEMPORARY_CALLS
         ):
             self.numpy_temps.append((lineno, func.attr))
 
@@ -825,7 +842,11 @@ def extract_module(
             local_findings.extend(unit_findings)
 
     # Module-level statements (imports, constants, __main__ guards).
-    module_pass = _FunctionPass(module, path_str, imports, f"{module}.{MODULE_SCOPE}", None)
+    # Top-level defs are indexed as their own scopes, not inlined.
+    module_pass = _FunctionPass(
+        module, path_str, imports, f"{module}.{MODULE_SCOPE}", None,
+        inline_closures=False,
+    )
     module_env = module_pass.run(tree)
     functions[MODULE_SCOPE] = FunctionFacts(
         qualname=f"{module}.{MODULE_SCOPE}",

@@ -40,17 +40,6 @@ Rules
     experiment engine.  Process management is centralized in
     ``repro.exec`` so the determinism contract (spawn context, seeded
     workers, cache coherence) cannot be bypassed by ad-hoc pools.
-``REPRO-L009`` (error, step-kernel modules only)
-    Per-call numpy temporary — ``np.clip``/``np.sum``/``np.zeros``/
-    ``np.ones``/``np.empty`` — in the per-tick platform modules
-    (``platform/soc.py``, ``sensors.py``, ``scheduler.py``, ``opp.py``,
-    ``power.py``, ``manycore.py``).  These run 20x per simulated second
-    on scalars or fixed-size-4 arrays, where numpy dispatch costs more
-    than the arithmetic; use scalar math (see the sequential-sum
-    equivalence notes in ``platform/soc.py``).  Construction-time code
-    (``__init__``/``__post_init__``) and the explicitly allowlisted
-    idle-insertion helpers (whose pairwise-reduction order *is* the
-    bit-identity contract) are exempt.
 ``REPRO-L010`` (error, execution layer only)
     Bare ``time.sleep`` or unbounded wait (``Future.result()`` /
     ``concurrent.futures.wait(...)`` without a timeout) in ``exec/`` or
@@ -79,8 +68,6 @@ __all__ = [
     "HOT_PATH_FRAGMENTS",
     "RESILIENCE_PATH_FRAGMENTS",
     "SLEEP_EXEMPT_FILES",
-    "STEP_KERNEL_PATH_FRAGMENTS",
-    "STEP_KERNEL_ALLOWED_FUNCTIONS",
 ]
 
 # Modules on the 50 ms control epoch (rule L004 applies only here).
@@ -112,37 +99,6 @@ EXECUTION_LAYER_FRAGMENTS = ("exec/", "resilience/")
 # legitimate delay (deterministic backoff), and the chaos injector's
 # whole job is simulating hangs.
 SLEEP_EXEMPT_FILES = ("exec/supervision.py", "exec/chaos.py")
-
-# Per-tick platform modules where numpy temporaries are banned (L009).
-STEP_KERNEL_PATH_FRAGMENTS = (
-    "platform/soc.py",
-    "platform/sensors.py",
-    "platform/scheduler.py",
-    "platform/opp.py",
-    "platform/perf.py",
-    "platform/power.py",
-    "platform/manycore.py",
-    "platform/fleet.py",
-)
-
-# Functions exempt from L009: the first two keep numpy's pairwise
-# reduction order, which is itself the bit-identity contract with the
-# golden traces; the probe/resolve functions run once at construction
-# or first use to machine-verify a compiled fast path, never per tick.
-STEP_KERNEL_ALLOWED_FUNCTIONS = frozenset(
-    {
-        "_telemetry_with_idle_insertion",
-        "_idle_adjusted_capacity",
-        "_resolve_snap_kernel",
-        "_probe_cluster_telemetry",
-    }
-)
-
-# numpy attributes that allocate or reduce per call (L009).
-_L009_NUMPY_CALLS = frozenset({"clip", "sum", "zeros", "ones", "empty"})
-
-# Construction-time methods run once per object, not per tick.
-_CONSTRUCTION_FUNCTIONS = frozenset({"__init__", "__post_init__"})
 
 # Top-level modules whose import marks ad-hoc parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
@@ -206,13 +162,6 @@ def _is_exec_path(path: str) -> bool:
     return any(fragment in normalized for fragment in EXEC_PATH_FRAGMENTS)
 
 
-def _is_step_kernel_path(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return any(
-        fragment in normalized for fragment in STEP_KERNEL_PATH_FRAGMENTS
-    )
-
-
 def _is_bounded_wait_path(path: str) -> bool:
     normalized = path.replace("\\", "/")
     if any(fragment in normalized for fragment in SLEEP_EXEMPT_FILES):
@@ -251,7 +200,6 @@ class _Linter(ast.NodeVisitor):
         self.hot = _is_hot_path(path)
         self.resilience = _is_resilience_path(path)
         self.exec_layer = _is_exec_path(path)
-        self.step_kernel = _is_step_kernel_path(path)
         self.bounded_wait = _is_bounded_wait_path(path)
         self.findings: list[Finding] = []
         self.numpy_aliases: set[str] = set()
@@ -259,7 +207,6 @@ class _Linter(ast.NodeVisitor):
         self.sleep_aliases: set[str] = set()
         self.wait_aliases: set[str] = set()
         self._class_depth = 0
-        self._function_stack: list[str] = []
 
     # -- helpers -------------------------------------------------------
     def _add(self, line: int, rule: str, severity: Severity, message: str) -> None:
@@ -311,19 +258,14 @@ class _Linter(ast.NodeVisitor):
             )
 
     # -- L001: mutable defaults ----------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
         self._check_defaults(node)
         self._check_parameters(node)
-        self._function_stack.append(node.name)
         self.generic_visit(node)
-        self._function_stack.pop()
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_parameters(node)
-        self._function_stack.append(node.name)
-        self.generic_visit(node)
-        self._function_stack.pop()
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         defaults = list(node.args.defaults) + [
@@ -365,7 +307,6 @@ class _Linter(ast.NodeVisitor):
                     "immutable default",
                 )
         self._check_numpy_allocation(node)
-        self._check_numpy_temporary(node)
         self._check_bounded_wait(node)
         self.generic_visit(node)
 
@@ -390,34 +331,6 @@ class _Linter(ast.NodeVisitor):
                     f"np.{func.attr} without explicit dtype in a hot path; "
                     "pin the dtype (e.g. dtype=float)",
                 )
-
-    # -- L009: per-call numpy temporaries in the step kernel -----------
-    def _check_numpy_temporary(self, node: ast.Call) -> None:
-        if not self.step_kernel:
-            return
-        stack = self._function_stack
-        if not stack:
-            return  # module level runs once at import, not per tick
-        if any(name in _CONSTRUCTION_FUNCTIONS for name in stack):
-            return
-        if any(name in STEP_KERNEL_ALLOWED_FUNCTIONS for name in stack):
-            return
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.numpy_aliases
-            and func.attr in _L009_NUMPY_CALLS
-        ):
-            self._add(
-                node.lineno,
-                "REPRO-L009",
-                Severity.ERROR,
-                f"np.{func.attr} in step-kernel function {stack[-1]!r} "
-                "allocates a numpy temporary every tick; use scalar math "
-                "(or add the function to STEP_KERNEL_ALLOWED_FUNCTIONS "
-                "with a bit-identity justification)",
-            )
 
     # -- L010: bare sleeps / unbounded waits in the execution layer ----
     def _check_bounded_wait(self, node: ast.Call) -> None:

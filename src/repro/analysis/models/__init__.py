@@ -9,11 +9,6 @@ policy bundles — with the bitset reachability kernel from
 trace to every negative verdict.
 """
 
-from repro.analysis.models.cache import (
-    DEFAULT_MODEL_CACHE_DIR,
-    MODEL_CHECK_SCHEMA,
-    ModelCheckCache,
-)
 from repro.analysis.models.cli import models_main
 from repro.analysis.models.rules import (
     check_alphabet_consistency,
@@ -25,19 +20,19 @@ from repro.analysis.models.rules import (
     check_reachability,
 )
 from repro.analysis.models.scan import (
+    MODEL_CHECK_SCHEMA,
     MODEL_ROLES,
     ModelScanResult,
     ModelScanStats,
     analyze_model_set,
     infer_role,
+    make_cache,
     scan_paths,
 )
 
 __all__ = [
-    "DEFAULT_MODEL_CACHE_DIR",
     "MODEL_CHECK_SCHEMA",
     "MODEL_ROLES",
-    "ModelCheckCache",
     "ModelScanResult",
     "ModelScanStats",
     "analyze_model_set",
@@ -49,6 +44,7 @@ __all__ = [
     "check_pair_controllability",
     "check_reachability",
     "infer_role",
+    "make_cache",
     "models_main",
     "scan_paths",
 ]

@@ -17,19 +17,18 @@ from typing import Sequence
 
 from repro.analysis.findings import Report, Severity
 from repro.analysis.flow.baseline import (
+    DEFAULT_BASELINE,
     Baseline,
     apply_baseline,
     write_baseline,
 )
+from repro.analysis.flow.cache import DEFAULT_CACHE_DIR
 from repro.analysis.flow.sarif import report_to_json, report_to_sarif
-from repro.analysis.models.cache import (
-    DEFAULT_MODEL_CACHE_DIR,
-    ModelCheckCache,
-)
 from repro.analysis.models.scan import (
     ModelScanResult,
     ModelScanStats,
     analyze_model_set,
+    make_cache,
     scan_paths,
 )
 
@@ -93,9 +92,10 @@ def models_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         type=Path,
-        default=Path("models-baseline.json"),
-        help="baseline file of accepted findings (default: "
-        "models-baseline.json; missing file = empty baseline)",
+        default=DEFAULT_BASELINE,
+        help="baseline file of accepted findings; only its REPRO-M "
+        "entries apply (default: analysis-baseline.json; missing file "
+        "= empty baseline)",
     )
     parser.add_argument(
         "--write-baseline",
@@ -105,9 +105,9 @@ def models_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         type=Path,
-        default=DEFAULT_MODEL_CACHE_DIR,
-        help="incremental cache directory (default: "
-        ".analysis-cache/models)",
+        default=DEFAULT_CACHE_DIR,
+        help="incremental cache directory (default: .analysis-cache; "
+        "shared with the other tiers, keys are schema-disjoint)",
     )
     parser.add_argument(
         "--no-cache",
@@ -139,7 +139,7 @@ def models_main(argv: Sequence[str] | None = None) -> int:
         paths = args.paths or (
             ["artifacts"] if Path("artifacts").is_dir() else ["."]
         )
-        cache = None if args.no_cache else ModelCheckCache(args.cache_dir)
+        cache = None if args.no_cache else make_cache(args.cache_dir)
         result = scan_paths(paths, cache=cache, resynthesize=resynthesize)
         if cache is not None:
             result.stats.cache_hits = cache.hits
@@ -147,12 +147,14 @@ def models_main(argv: Sequence[str] | None = None) -> int:
     report = result.report
 
     if args.write_baseline:
-        count = write_baseline(sorted(report.findings), args.baseline)
+        count = write_baseline(
+            sorted(report.findings), args.baseline, family="REPRO-M"
+        )
         print(f"wrote {count} baseline entries to {args.baseline}")
         return 0
 
     if args.baseline.is_file():
-        baseline = Baseline.load(args.baseline)
+        baseline = Baseline.load(args.baseline).restrict("REPRO-M")
         filtered = Report(
             findings=apply_baseline(sorted(report.findings), baseline),
             files_checked=report.files_checked,

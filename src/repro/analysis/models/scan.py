@@ -12,9 +12,10 @@ The analyzer checks *model-check units*:
   rules (M003 controllability, M004 alphabet consistency, M007
   staleness) apply.
 
-Each unit is cached by the sha256 of its raw content
-(:class:`~repro.analysis.models.cache.ModelCheckCache`): unchanged
-artifacts replay their stored findings without re-running reachability.
+Each unit's findings are cached by the sha256 of its raw content in the
+shared analyzer cache (:class:`~repro.analysis.flow.cache.ModuleCache`,
+salted with :data:`MODEL_CHECK_SCHEMA`): unchanged artifacts replay
+their stored findings without re-running reachability.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.findings import Finding, Report, Severity
-from repro.analysis.models.cache import ModelCheckCache
+from repro.analysis.flow.cache import DEFAULT_CACHE_DIR, ModuleCache
 from repro.analysis.models.rules import (
     check_alphabet_consistency,
     check_bundle_freshness,
@@ -37,13 +38,18 @@ from repro.automata.serialization import automaton_from_dict
 from repro.core.persistence import BUNDLE_MANIFEST
 
 __all__ = [
+    "MODEL_CHECK_SCHEMA",
     "MODEL_ROLES",
     "ModelScanResult",
     "ModelScanStats",
     "analyze_model_set",
     "infer_role",
+    "make_cache",
     "scan_paths",
 ]
+
+# Bump when any M-rule changes what it reports.
+MODEL_CHECK_SCHEMA = "model-check/1"
 
 # File-stem -> canonical role.  ``spec`` is accepted as an alias because
 # the paper's figures label the specification automaton ``SP``/"spec".
@@ -55,6 +61,13 @@ MODEL_ROLES: dict[str, str] = {
 }
 
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "results", "output"}
+
+
+def make_cache(root: str | Path = DEFAULT_CACHE_DIR) -> ModuleCache:
+    """The models tier's view of the shared on-disk analysis cache."""
+    return ModuleCache(
+        root, schema=MODEL_CHECK_SCHEMA, expected_type=list, item_type=Finding
+    )
 
 
 def infer_role(stem: str) -> str | None:
@@ -356,7 +369,7 @@ def _analyze_bundle_unit(
 def scan_paths(
     paths: Sequence[str | Path],
     *,
-    cache: ModelCheckCache | None = None,
+    cache: ModuleCache | None = None,
     resynthesize: bool = True,
 ) -> ModelScanResult:
     """Model-check every unit under ``paths`` and aggregate a report."""
@@ -377,8 +390,8 @@ def scan_paths(
 
     model_files, set_dirs, bundle_dirs = _walk_units(resolved)
     # The resynthesize flag changes what a unit reports, so cached runs
-    # with a different flag must not be replayed.
-    mode = b"resynth\x00" if resynthesize else b"quick\x00"
+    # with a different flag must not be replayed: it keys the entry.
+    mode = "resynth" if resynthesize else "quick"
 
     units: list[tuple[str, Sequence[Path], Any]] = []
     for file in model_files:
@@ -399,9 +412,9 @@ def scan_paths(
 
     for unit_name, content_files, analyzer in units:
         stats.units_scanned += 1
-        content = mode + _unit_content(content_files)
+        content = _unit_content(content_files)
         if cache is not None:
-            cached = cache.load(unit_name, content)
+            cached = cache.load(mode, unit_name, content)
             if cached is not None:
                 findings, models = _unpack_unit(cached)
                 report.extend(findings)
@@ -418,7 +431,9 @@ def scan_paths(
         report.extend(findings)
         stats.models_checked += models
         if cache is not None:
-            cache.store(unit_name, content, _pack_unit(findings, models))
+            cache.store(
+                mode, unit_name, content, _pack_unit(findings, models)
+            )
 
     report.artifacts_checked = stats.models_checked
     report.files_checked = stats.units_scanned

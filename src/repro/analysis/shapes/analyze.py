@@ -81,7 +81,7 @@ def analyze_project(
             scan = scan_module(source, path_str, module=module)
             stats.rescanned += 1
             if cache is not None and scan.parse_error is None:
-                cache.store(scan, source)
+                cache.store(module, path_str, source, scan)
         else:
             stats.cache_hits += 1
         # Later roots win on module-name collisions (same as sys.path).

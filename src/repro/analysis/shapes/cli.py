@@ -1,8 +1,9 @@
 """``python -m repro.analysis shapes`` — the array-contract analyzer CLI.
 
 Mirrors the flow/models CLIs: positional roots, text/JSON/SARIF output,
-a committed baseline (``shapes-baseline.json``), the shared incremental
-cache directory, and ``--strict`` to fail on warnings.
+the REPRO-S entries of the committed baseline
+(``analysis-baseline.json``), the shared incremental cache directory,
+and ``--strict`` to fail on warnings.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import argparse
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.findings import Report, Severity
+from repro.analysis.findings import Severity
 from repro.analysis.flow.baseline import (
+    DEFAULT_BASELINE,
     Baseline,
-    apply_baseline,
     write_baseline,
 )
 from repro.analysis.flow.cache import DEFAULT_CACHE_DIR
@@ -24,8 +25,6 @@ from repro.analysis.shapes.analyze import analyze_project, make_cache
 __all__ = ["shapes_main"]
 
 TOOL_NAME = "repro-shapes"
-
-DEFAULT_BASELINE = Path("shapes-baseline.json")
 
 
 def shapes_main(argv: Sequence[str] | None = None) -> int:
@@ -57,8 +56,9 @@ def shapes_main(argv: Sequence[str] | None = None) -> int:
         "--baseline",
         type=Path,
         default=DEFAULT_BASELINE,
-        help="baseline file of accepted findings (default: "
-        "shapes-baseline.json; missing file = empty baseline)",
+        help="baseline file of accepted findings; only its REPRO-S "
+        "entries apply (default: analysis-baseline.json; missing file "
+        "= empty baseline)",
     )
     parser.add_argument(
         "--write-baseline",
@@ -88,13 +88,13 @@ def shapes_main(argv: Sequence[str] | None = None) -> int:
     cache = None if args.no_cache else make_cache(args.cache_dir)
     baseline = None
     if not args.write_baseline and args.baseline.is_file():
-        baseline = Baseline.load(args.baseline)
+        baseline = Baseline.load(args.baseline).restrict("REPRO-S")
 
     result = analyze_project(paths, cache=cache, baseline=baseline)
     report = result.report
 
     if args.write_baseline:
-        count = write_baseline(list(report), args.baseline)
+        count = write_baseline(list(report), args.baseline, family="REPRO-S")
         print(f"wrote {count} baseline entries to {args.baseline}")
         return 0
 

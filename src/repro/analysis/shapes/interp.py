@@ -170,13 +170,13 @@ def _bind_spec(
         ):
             binding[sym] = vshape[i]
         resolved.append(spec_dim.substitute(binding))
-    budget = (
+    draws = (
         spec.rng_budget.substitute(binding)
         if spec.rng_budget is not None
         else None
     )
     return _spec_replace(
-        spec, shape=tuple(resolved), rng_budget=budget
+        spec, shape=tuple(resolved), rng_budget=draws
     )
 
 
@@ -322,16 +322,16 @@ class _Frame:
 
     def _finalize_rng(self) -> None:
         for block, records in self.extents.items():
-            budget = self.tick_blocks.get(block)
-            if budget is None or not records or None in records:
+            draws = self.tick_blocks.get(block)
+            if draws is None or not records or None in records:
                 continue
             lower, upper, line = records[-1]
-            if not upper.is_opaque and not budget.is_opaque and upper != budget:
+            if not upper.is_opaque and not draws.is_opaque and upper != draws:
                 self.emit(
                     line,
                     "REPRO-S005",
                     f"RNG tick block consumption ends at draw {upper} of "
-                    f"the {budget} budgeted draws per tick",
+                    f"the {draws} budgeted draws per tick",
                 )
 
     # -- statements ----------------------------------------------------
@@ -726,16 +726,16 @@ class _Frame:
             return None
         if base.rng_budget is None:
             return None
-        budget = base.rng_budget
-        if width.is_opaque or budget.is_opaque:
+        draws = base.rng_budget
+        if width.is_opaque or draws.is_opaque:
             return None
-        if width == budget:
-            return budget  # caller registers the block via the tag
+        if width == draws:
+            return draws  # caller registers the block via the tag
         self.emit(
             line,
             "REPRO-S005",
             f"RNG tick slice width {width} does not match the per-tick "
-            f"draw budget {budget}",
+            f"draw budget {draws}",
         )
         return None
 

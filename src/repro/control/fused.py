@@ -643,43 +643,6 @@ class FusedKernel:
         """
         self._step(y_ptr, *tail)
 
-    def cluster_telemetry(
-        self,
-        active,
-        opp_idx,
-        bce,
-        z,
-        dyn_table,
-        leak_table,
-        rate_table,
-        idle_frac,
-        uncore,
-        noise_row,
-        res_mask_i8,
-        safe_res_row,
-        floor_row,
-        any_resolution,
-        power_out,
-        ips_out,
-    ) -> None:
-        args = self.telemetry_args(
-            active,
-            opp_idx,
-            dyn_table,
-            leak_table,
-            rate_table,
-            idle_frac,
-            uncore,
-            noise_row,
-            res_mask_i8,
-            safe_res_row,
-            floor_row,
-            any_resolution,
-            power_out,
-            ips_out,
-        )
-        self.cluster_telemetry_ptrs(args, bce, z)
-
     def telemetry_args(
         self,
         active,

@@ -481,7 +481,7 @@ def _telemetry_with_idle_insertion(
 ):
     """Idle-insertion / wide-cluster telemetry slow path.
 
-    Deliberately kept on numpy (REPRO-L009 allowlisted): idle weighting
+    Deliberately kept on numpy (REPRO-F003 allowlisted): idle weighting
     needs the array math, and for >= 8 cores a sequential sum would not
     match ``np.sum``'s pairwise reduction bit-for-bit.
     """
@@ -499,7 +499,7 @@ def _telemetry_with_idle_insertion(
 def _idle_adjusted_capacity(
     idle_fractions: np.ndarray, active_cores: int
 ) -> float:
-    """Capacity under idle insertion (REPRO-L009 allowlisted slow path)."""
+    """Capacity under idle insertion (REPRO-F003 allowlisted slow path)."""
     return float(np.sum(1.0 - idle_fractions[:active_cores]))
 
 

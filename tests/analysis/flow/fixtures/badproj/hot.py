@@ -1,6 +1,6 @@
 """REPRO-F003 fixture: the hot-path entry point itself stays clean —
-the allocation hides in a helper module (badproj.helper), which is how
-regressions slip past a per-module rule like REPRO-L009."""
+the allocation hides in a helper module (badproj.helper), outside any
+listed kernel module; only the call-graph closure finds it."""
 
 from badproj.helper import accumulate
 

@@ -93,3 +93,27 @@ class TestLoadAndWrite:
         payload = json.loads(target.read_text())
         assert payload["schema"] == BASELINE_SCHEMA
         assert payload["entries"][0]["justification"]
+
+
+class TestRuleFamilies:
+    """One baseline file serves every tier: each applies its own family."""
+
+    def test_writing_one_family_keeps_the_others(self, tmp_path):
+        target = tmp_path / "baseline.json"
+        write_baseline([finding(rule="REPRO-F003")], target, family="REPRO-F")
+        count = write_baseline(
+            [finding(rule="REPRO-M002"), finding(rule="REPRO-F001")],
+            target,
+            family="REPRO-M",
+        )
+        assert count == 1
+        rules = sorted(e.rule for e in Baseline.load(target).entries)
+        assert rules == ["REPRO-F003", "REPRO-M002"]
+
+    def test_other_family_entry_is_never_stale(self, tmp_path):
+        target = tmp_path / "baseline.json"
+        write_baseline([finding(rule="REPRO-F003")], target)
+        shapes = Baseline.load(target).restrict("REPRO-S")
+        assert apply_baseline([], shapes) == []
+        flow = Baseline.load(target).restrict("REPRO-F")
+        assert [f.rule for f in apply_baseline([], flow)] == ["REPRO-N002"]

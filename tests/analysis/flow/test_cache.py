@@ -11,7 +11,7 @@ class TestModuleCache:
     def test_roundtrip_hit(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
         analysis = extract_module(SOURCE, "src/m.py", module="m")
-        cache.store(analysis, SOURCE)
+        cache.store("m", "src/m.py", SOURCE, analysis)
         loaded = cache.load("m", "src/m.py", SOURCE)
         assert loaded is not None
         assert loaded.functions["f"].qualname == "m.f"
@@ -20,14 +20,14 @@ class TestModuleCache:
     def test_content_change_misses(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
         analysis = extract_module(SOURCE, "src/m.py", module="m")
-        cache.store(analysis, SOURCE)
+        cache.store("m", "src/m.py", SOURCE, analysis)
         assert cache.load("m", "src/m.py", SOURCE + "\n# edited\n") is None
         assert cache.misses == 1
 
     def test_corrupt_payload_is_evicted(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
         analysis = extract_module(SOURCE, "src/m.py", module="m")
-        cache.store(analysis, SOURCE)
+        cache.store("m", "src/m.py", SOURCE, analysis)
         key = cache.key_for("m", "src/m.py", SOURCE)
         entry = cache._entry_path(key)
         entry.write_bytes(b"garbage")

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.analysis.findings import Severity
 from repro.analysis.flow.analyze import analyze_project
 from repro.analysis.flow.callgraph import CallGraph, ProjectIndex
 from repro.analysis.flow.rules import (
+    DEFAULT_HOT_PATH_ALLOWED,
     check_frozen_mutation,
     check_hot_path_purity,
     check_picklability,
@@ -12,7 +14,7 @@ from repro.analysis.flow.rules import (
     check_unit_flow,
 )
 
-from tests.analysis.flow.conftest import FIXTURES
+from tests.analysis.flow.conftest import FIXTURES, write_project
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,183 @@ class TestF003HotPathPurity:
         _index, graph, _result = badproj
         findings = check_hot_path_purity(
             graph, entry_points=("badproj.frozen.bump",)
+        )
+        assert findings == []
+
+
+class TestF003KernelModules:
+    """Every function of a per-tick platform module is a REPRO-F003 root,
+    whether or not a step entry point reaches it."""
+
+    @staticmethod
+    def scan(tmp_path, files):
+        root = write_project(
+            tmp_path,
+            {"repro/__init__.py": "", "repro/platform/__init__.py": "", **files},
+        )
+        graph = analyze_project([root / "repro"]).graph
+        return check_hot_path_purity(
+            graph, allowed_functions=DEFAULT_HOT_PATH_ALLOWED
+        )
+
+    def test_clip_in_kernel_function_is_error(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    def read(x):
+                        return np.clip(x, 0.0, 2.0)
+                """
+            },
+        )
+        assert [f.rule for f in findings] == ["REPRO-F003"]
+        assert findings[0].severity == Severity.ERROR
+
+    def test_sum_in_kernel_function_is_error(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/sensors.py": """
+                    import numpy as np
+                    def capacity(a):
+                        return float(np.sum(a))
+                """
+            },
+        )
+        assert [f.rule for f in findings] == ["REPRO-F003"]
+
+    def test_unreached_kernel_function_is_flagged(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    class ExynosSoC:
+                        def step(self):
+                            return 0.0
+                    def spare(a):
+                        return np.zeros(a, dtype=float)
+                """
+            },
+        )
+        assert len(findings) == 1
+        # No step method reaches it, so its chain names only itself.
+        assert "(reachable: repro.platform.soc.spare);" in findings[0].message
+
+    def test_reached_kernel_function_keeps_the_step_chain(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    class ExynosSoC:
+                        def step(self):
+                            return _helper([1.0])
+                    def _helper(a):
+                        return float(np.sum(a))
+                """
+            },
+        )
+        assert len(findings) == 1
+        assert (
+            "reachable: repro.platform.soc.ExynosSoC.step -> "
+            "repro.platform.soc._helper" in findings[0].message
+        )
+
+    def test_temporary_in_nested_function_is_flagged(self, tmp_path):
+        root = write_project(
+            tmp_path,
+            {
+                "proj/__init__.py": "",
+                "proj/hot.py": """
+                    from proj.util import total
+                    class Engine:
+                        def step(self, values):
+                            return total(values)
+                """,
+                "proj/util.py": """
+                    import numpy as np
+                    def total(values):
+                        def inner():
+                            return float(np.sum(values))
+                        return inner()
+                """,
+            },
+        )
+        graph = analyze_project([root / "proj"]).graph
+        findings = check_hot_path_purity(
+            graph, entry_points=("proj.hot.Engine.step",)
+        )
+        assert len(findings) == 1
+        assert findings[0].line == 5
+        assert "proj.hot.Engine.step -> proj.util.total" in findings[0].message
+
+    def test_allowlisted_function_is_exempt(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    def _telemetry_with_idle_insertion(cluster, total, rng):
+                        values = np.zeros(4, dtype=float)
+                        return float(np.sum(values))
+                """
+            },
+        )
+        assert findings == []
+
+    def test_nested_function_inherits_allowlist(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    def _idle_adjusted_capacity(f, n):
+                        def inner():
+                            return float(np.sum(f[:n]))
+                        return inner()
+                """
+            },
+        )
+        assert findings == []
+
+    def test_init_is_construction_time(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    class Cluster:
+                        def __init__(self, n):
+                            self.f = np.zeros(n, dtype=float)
+                """
+            },
+        )
+        assert findings == []
+
+    def test_module_level_allocation_is_exempt(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/soc.py": """
+                    import numpy as np
+                    TABLE = np.zeros(4, dtype=float)
+                """
+            },
+        )
+        assert findings == []
+
+    def test_non_kernel_platform_file_is_exempt(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "repro/platform/faults.py": """
+                    import numpy as np
+                    def handle(x):
+                        return np.clip(x, 0.0, 1.0)
+                """
+            },
         )
         assert findings == []
 

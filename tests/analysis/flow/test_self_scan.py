@@ -1,11 +1,13 @@
 """Repo self-scan: the flow analyzer gates src/repro with zero
 non-baselined findings — the acceptance criterion of the flow gate."""
 
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import Baseline, analyze_project
+from repro.analysis.flow import Baseline, analyze_project, run_all_rules
+from repro.analysis.flow.rules import DEFAULT_HOT_PATH_ALLOWED
 
 REPO = Path(__file__).resolve().parents[3]
 SRC_REPRO = REPO / "src" / "repro"
@@ -34,16 +36,17 @@ class TestSelfScan:
         assert scan.stats.call_edges > 1000
 
     def test_without_baseline_only_known_hot_path_exemptions(self):
+        # With the hot-path allowlist emptied, every finding must lie in
+        # an allowlisted function, and every allowlisted name must
+        # produce one: a stale allowlist entry fails here the way a
+        # stale baseline entry fails test_no_stale_baseline_entries.
         result = analyze_project([SRC_REPRO])
-        errors = result.report.errors
-        # The only accepted findings are the allowlisted step-kernel
-        # reductions in soc.py whose numpy call order is the golden-trace
-        # bit-identity contract.
-        assert errors, "expected the deliberate F003 exemptions to surface"
-        for finding in errors:
-            assert finding.rule == "REPRO-F003"
-            assert finding.path.endswith("platform/soc.py")
-            assert (
-                "_telemetry_with_idle_insertion" in finding.message
-                or "_idle_adjusted_capacity" in finding.message
-            )
+        findings = run_all_rules(
+            result.index, result.graph, hot_path_allowed=frozenset()
+        )
+        flagged = set()
+        for finding in findings:
+            assert finding.rule == "REPRO-F003", finding.format()
+            qualname = re.search(r" in (\S+) allocates", finding.message)
+            flagged.add(qualname.group(1).rsplit(".", 1)[1])
+        assert flagged == DEFAULT_HOT_PATH_ALLOWED

@@ -1,14 +1,17 @@
-"""ModelCheckCache: sidecar integrity, eviction, and scan integration."""
+"""The models tier on the shared ModuleCache: sidecar integrity,
+element-wise Finding validation, eviction, and scan integration."""
 
 from __future__ import annotations
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.models.cache import ModelCheckCache
-from repro.analysis.models.scan import scan_paths
+from repro.analysis.models.scan import make_cache, scan_paths
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 
 from tests.analysis.models.conftest import write_model
+
+# The models tier keys an entry on the scan mode, the unit and its bytes.
+MODE = "resynth"
 
 SIGMA = Alphabet.of([controllable("go"), uncontrollable("fault")])
 
@@ -39,33 +42,33 @@ def _blocking_plant():
 
 class TestCacheUnit:
     def test_roundtrip(self, tmp_path):
-        cache = ModelCheckCache(tmp_path / "cache")
+        cache = make_cache(tmp_path / "cache")
         stored = [_finding("one"), _finding("two")]
-        assert cache.load("unit", b"content") is None
-        cache.store("unit", b"content", stored)
-        assert cache.load("unit", b"content") == stored
+        assert cache.load(MODE, "unit", b"content") is None
+        cache.store(MODE, "unit", b"content", stored)
+        assert cache.load(MODE, "unit", b"content") == stored
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_content_and_unit_key_the_entry(self, tmp_path):
-        cache = ModelCheckCache(tmp_path / "cache")
-        cache.store("unit", b"v1", [_finding()])
-        assert cache.load("unit", b"v2") is None
-        assert cache.load("other", b"v1") is None
-        assert cache.load("unit", b"v1") is not None
+        cache = make_cache(tmp_path / "cache")
+        cache.store(MODE, "unit", b"v1", [_finding()])
+        assert cache.load(MODE, "unit", b"v2") is None
+        assert cache.load(MODE, "other", b"v1") is None
+        assert cache.load(MODE, "unit", b"v1") is not None
 
     def test_corrupt_payload_evicts(self, tmp_path):
-        cache = ModelCheckCache(tmp_path / "cache")
-        cache.store("unit", b"c", [_finding()])
-        entry = cache._entry_path(cache.key_for("unit", b"c"))
+        cache = make_cache(tmp_path / "cache")
+        cache.store(MODE, "unit", b"c", [_finding()])
+        entry = cache._entry_path(cache.key_for(MODE, "unit", b"c"))
         entry.write_bytes(b"garbage")
-        assert cache.load("unit", b"c") is None
+        assert cache.load(MODE, "unit", b"c") is None
         assert cache.evictions == 1
         assert not entry.exists()
 
     def test_unpicklable_garbage_with_valid_sidecar_evicts(self, tmp_path):
-        cache = ModelCheckCache(tmp_path / "cache")
-        cache.store("unit", b"c", [_finding()])
-        entry = cache._entry_path(cache.key_for("unit", b"c"))
+        cache = make_cache(tmp_path / "cache")
+        cache.store(MODE, "unit", b"c", [_finding()])
+        entry = cache._entry_path(cache.key_for(MODE, "unit", b"c"))
         import hashlib
 
         payload = b"not a pickle"
@@ -73,15 +76,15 @@ class TestCacheUnit:
         entry.with_suffix(".pkl.sha256").write_text(
             hashlib.sha256(payload).hexdigest() + "\n", encoding="utf-8"
         )
-        assert cache.load("unit", b"c") is None
+        assert cache.load(MODE, "unit", b"c") is None
         assert cache.evictions == 1
 
     def test_non_finding_payload_rejected(self, tmp_path):
         import hashlib
         import pickle
 
-        cache = ModelCheckCache(tmp_path / "cache")
-        key = cache.key_for("unit", b"c")
+        cache = make_cache(tmp_path / "cache")
+        key = cache.key_for(MODE, "unit", b"c")
         entry = cache._entry_path(key)
         entry.parent.mkdir(parents=True)
         payload = pickle.dumps(["not", "findings"])
@@ -89,15 +92,26 @@ class TestCacheUnit:
         entry.with_suffix(".pkl.sha256").write_text(
             hashlib.sha256(payload).hexdigest() + "\n", encoding="utf-8"
         )
-        assert cache.load("unit", b"c") is None
+        assert cache.load(MODE, "unit", b"c") is None
         assert cache.evictions == 1
+
+
+    def test_schema_disjoint_from_flow_cache(self, tmp_path):
+        # One shared directory: a flow entry for the same name and bytes
+        # never satisfies a models lookup.
+        from repro.analysis.flow.cache import ModuleCache
+
+        shared = tmp_path / "cache"
+        assert make_cache(shared).key_for(
+            MODE, "unit", b"c"
+        ) != ModuleCache(shared).key_for(MODE, "unit", b"c")
 
 
 class TestScanIntegration:
     def test_second_scan_hits_and_replays_findings(self, tmp_path):
         unit = tmp_path / "unit"
         write_model(unit / "plant.json", _blocking_plant())
-        cache = ModelCheckCache(tmp_path / "cache")
+        cache = make_cache(tmp_path / "cache")
 
         first = scan_paths([unit], cache=cache)
         assert cache.misses == 1 and cache.hits == 0
@@ -115,7 +129,7 @@ class TestScanIntegration:
     def test_edit_invalidates(self, tmp_path):
         unit = tmp_path / "unit"
         path = write_model(unit / "plant.json", _blocking_plant())
-        cache = ModelCheckCache(tmp_path / "cache")
+        cache = make_cache(tmp_path / "cache")
         scan_paths([unit], cache=cache)
         path.write_text(
             path.read_text(encoding="utf-8").replace("CapPlant", "Edited"),
@@ -128,7 +142,7 @@ class TestScanIntegration:
     def test_resynth_mode_does_not_share_entries(self, tmp_path):
         unit = tmp_path / "unit"
         write_model(unit / "plant.json", _blocking_plant())
-        cache = ModelCheckCache(tmp_path / "cache")
+        cache = make_cache(tmp_path / "cache")
         scan_paths([unit], cache=cache, resynthesize=True)
         result = scan_paths([unit], cache=cache, resynthesize=False)
         # The quick mode must not replay the resynth entry (different

@@ -101,7 +101,7 @@ class TestModelsCli:
         assert models_main(["--no-cache", "models"]) == 0
         out = capsys.readouterr().out
         assert "0 errors" in out
-        assert (tmp_path / "models-baseline.json").is_file()
+        assert (tmp_path / "analysis-baseline.json").is_file()
 
     def test_output_file(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _blocking_plant())

@@ -2,9 +2,10 @@
 
 Two layers: the design flow's output (synthesized in-process) and the
 committed ``artifacts/case_study`` JSON files, checked against the
-committed (empty) baseline.  Plus the M006 contract check — the rule
-module must shadow exactly the event names the runtime monitor gates
-on, or the static replay drifts from the deployed invariants.
+REPRO-M entries of the committed (empty) ``analysis-baseline.json``.
+Plus the M006 contract check — the rule module must shadow exactly
+the event names the runtime monitor gates on, or the static replay
+drifts from the deployed invariants.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.analysis.models.scan import analyze_model_set, scan_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 ARTIFACTS = REPO_ROOT / "artifacts" / "case_study"
-BASELINE = REPO_ROOT / "models-baseline.json"
+BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
 class TestSelfScan:
@@ -46,7 +47,9 @@ class TestSelfScan:
         result = scan_paths([ARTIFACTS], cache=None)
         findings = sorted(result.report.findings)
         if BASELINE.is_file():
-            findings = apply_baseline(findings, Baseline.load(BASELINE))
+            findings = apply_baseline(
+                findings, Baseline.load(BASELINE).restrict("REPRO-M")
+            )
         assert findings == []
         # One model-set unit holding the full plant/spec/supervisor trio.
         assert result.stats.units_scanned == 1

@@ -41,7 +41,7 @@ class TestScanCache:
     def test_roundtrip_hit(self, tmp_path):
         cache = make_cache(tmp_path / "cache")
         scan = scan_module(BAD_SOURCE, "pkg/bad.py", module="pkg.bad")
-        cache.store(scan, BAD_SOURCE)
+        cache.store("pkg.bad", "pkg/bad.py", BAD_SOURCE, scan)
         loaded = cache.load("pkg.bad", "pkg/bad.py", BAD_SOURCE)
         assert loaded is not None
         assert [f.rule for f in loaded.findings] == ["REPRO-S001"]
@@ -60,7 +60,7 @@ class TestScanCache:
     def test_schema_bump_invalidates(self, tmp_path):
         cache = make_cache(tmp_path / "cache")
         scan = scan_module(BAD_SOURCE, "pkg/bad.py", module="pkg.bad")
-        cache.store(scan, BAD_SOURCE)
+        cache.store("pkg.bad", "pkg/bad.py", BAD_SOURCE, scan)
         stale = ModuleCache(
             tmp_path / "cache",
             schema=SHAPES_SCHEMA + "-next",

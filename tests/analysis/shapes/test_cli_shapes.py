@@ -62,7 +62,7 @@ class TestShapesCli:
     def test_write_baseline_then_clean_gate(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, BAD)
         assert shapes_main(["--no-cache", "--write-baseline"]) == 0
-        assert (tmp_path / "shapes-baseline.json").is_file()
+        assert (tmp_path / "analysis-baseline.json").is_file()
         capsys.readouterr()
         # The accepted finding no longer fails the gate ...
         assert shapes_main(["--no-cache"]) == 0

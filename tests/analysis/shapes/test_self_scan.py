@@ -1,10 +1,10 @@
 """Repo self-scan: the shapes analyzer gates src/repro with zero
 non-baselined findings — the acceptance criterion of the shapes gate.
 
-Unlike the flow tier (whose baseline carries the deliberate F003
-exemptions), the shapes baseline is *empty*: the contracted kernels
-pass the abstract interpreter outright, including the ctypes ABI
-cross-check of the embedded C kernels.
+The one committed baseline (``analysis-baseline.json``, shared by
+every tier) is *empty*: the contracted kernels pass the abstract
+interpreter outright, including the ctypes ABI cross-check of the
+embedded C kernels.
 """
 
 import json
@@ -17,12 +17,14 @@ from repro.analysis.shapes.analyze import analyze_project
 
 REPO = Path(__file__).resolve().parents[3]
 SRC_REPRO = REPO / "src" / "repro"
-BASELINE = REPO / "shapes-baseline.json"
+BASELINE = REPO / "analysis-baseline.json"
 
 
 @pytest.fixture(scope="module")
 def scan():
-    return analyze_project([SRC_REPRO], baseline=Baseline.load(BASELINE))
+    return analyze_project(
+        [SRC_REPRO], baseline=Baseline.load(BASELINE).restrict("REPRO-S")
+    )
 
 
 class TestSelfScan:

@@ -207,89 +207,42 @@ class TestL008AdHocParallelism:
 
 
 class TestL009NumpyTemporaries:
-    KERNEL = "src/repro/platform/soc.py"
-
-    def test_clip_in_kernel_function_is_error(self):
-        source = (
-            "import numpy as np\n"
-            "def read(x):\n"
-            "    return np.clip(x, 0.0, 2.0)\n"
-        )
-        findings = lint_source(source, self.KERNEL)
-        assert rules(findings) == ["REPRO-L009"]
-        assert findings[0].severity == Severity.ERROR
-
-    def test_sum_in_kernel_function_is_error(self):
-        source = (
-            "import numpy as np\n"
-            "def capacity(a):\n"
-            "    return float(np.sum(a))\n"
-        )
-        assert rules(lint_source(source, self.KERNEL)) == ["REPRO-L009"]
-
-    def test_allowlisted_function_is_exempt(self):
-        source = (
-            "import numpy as np\n"
-            "def _telemetry_with_idle_insertion(cluster, total, rng):\n"
-            "    values = np.zeros(4, dtype=float)\n"
-            "    return float(np.sum(values))\n"
-        )
-        assert lint_source(source, self.KERNEL) == []
-
-    def test_nested_function_inherits_allowlist(self):
-        source = (
-            "import numpy as np\n"
-            "def _idle_adjusted_capacity(f, n):\n"
-            "    def inner():\n"
-            "        return float(np.sum(f[:n]))\n"
-            "    return inner()\n"
-        )
-        assert lint_source(source, self.KERNEL) == []
-
-    def test_init_is_construction_time(self):
-        source = (
-            "import numpy as np\n"
-            "class Cluster:\n"
-            "    def __init__(self, n):\n"
-            "        self.f = np.zeros(n, dtype=float)\n"
-        )
-        assert lint_source(source, self.KERNEL) == []
-
-    def test_module_level_allocation_is_exempt(self):
-        source = "import numpy as np\nTABLE = np.zeros(4, dtype=float)\n"
-        assert lint_source(source, self.KERNEL) == []
-
-    def test_non_kernel_platform_file_is_exempt(self):
-        source = (
-            "import numpy as np\n"
-            "def handle(x):\n"
-            "    return np.clip(x, 0.0, 1.0)\n"
-        )
-        assert "REPRO-L009" not in rules(
-            lint_source(source, "src/repro/platform/faults.py")
-        )
+    """REPRO-L009 is folded into REPRO-F003: every function of a per-tick
+    platform module is an F003 root of its own."""
 
     def test_kernel_sources_in_repo_stay_clean(self):
         from pathlib import Path
 
-        from repro.analysis.lint import (
-            STEP_KERNEL_PATH_FRAGMENTS,
-            lint_file,
+        from repro.analysis.flow import analyze_project
+        from repro.analysis.flow.rules import (
+            DEFAULT_ENTRY_POINTS,
+            DEFAULT_HOT_PATH_ALLOWED,
+            check_hot_path_purity,
         )
 
         root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        kernel_patterns = [
+            pattern
+            for pattern in DEFAULT_ENTRY_POINTS
+            if pattern.startswith("repro.platform.") and pattern.endswith(".*")
+        ]
+        graph = analyze_project([root]).graph
+        closure, _ = graph.closure(kernel_patterns)
         checked = 0
-        for fragment in STEP_KERNEL_PATH_FRAGMENTS:
-            path = root / fragment.removeprefix("platform/")
-            path = root / "platform" / path.name
+        for pattern in kernel_patterns:
+            module = pattern.removesuffix(".*")
+            path = root / "platform" / f"{module.rsplit('.', 1)[1]}.py"
             if not path.exists():
                 continue
             checked += 1
-            errors = [
-                f for f in lint_file(path) if f.rule == "REPRO-L009"
-            ]
-            assert errors == [], f"{path}: {errors}"
+            assert any(q.startswith(module + ".") for q in closure), module
         assert checked >= 6
+        errors = check_hot_path_purity(
+            graph,
+            entry_points=kernel_patterns,
+            allowed_functions=DEFAULT_HOT_PATH_ALLOWED,
+        )
+        assert errors == [], [f.format() for f in errors]
 
 
 class TestL010BoundedWaits:
@@ -411,5 +364,7 @@ class TestInlineSuppressions:
         from repro.analysis.findings import known_rule_ids
 
         known = known_rule_ids()
-        for rule_id in [f"REPRO-L{n:03d}" for n in range(11)]:
+        for rule_id in [f"REPRO-L{n:03d}" for n in range(11) if n != 9]:
             assert rule_id in known
+        # REPRO-F003 is the one hot-path rule; L009 was folded into it.
+        assert "REPRO-L009" not in known

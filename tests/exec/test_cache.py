@@ -8,7 +8,6 @@ import pytest
 
 from repro.exec.cache import CACHE_FORMAT, ResultCache, default_salt
 
-pytestmark = pytest.mark.exec_smoke
 
 DIGEST = "ab" * 32
 OTHER = "cd" * 32

@@ -15,8 +15,6 @@ from repro.exec.chaos import (
     run_chaos,
 )
 
-pytestmark = pytest.mark.exec_smoke
-
 
 class TestChaosConfig:
     def test_defaults_are_the_acceptance_campaign(self):
@@ -113,8 +111,13 @@ class TestChaosDrill:
             ]
         )
         payload = json.loads(capsys.readouterr().out)
+        # The one smoke drill in tier-1: the CLI run must converge.
         assert exit_code == 0
-        assert payload["ok"] is True
+        assert payload["ok"] is True, payload
+        assert payload["interrupted"] is True
+        assert payload["kills"] > 0, "smoke rates must actually inject"
+        assert payload["corrupted"] > 0
+        assert payload["golden_sha256"] == payload["final_sha256"]
         assert payload["lost"] == 0 and payload["duplicated"] == 0
 
     def test_report_text_renders_verdict(self, tmp_path):

@@ -10,7 +10,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.engine import EngineError, ExperimentEngine
 from repro.exec.job import ScenarioJob
 
-pytestmark = pytest.mark.exec_smoke
 
 ECHO = "repro.exec.engine._echo_runner"
 CRASH_ONCE = "repro.exec.engine._crash_once_runner"

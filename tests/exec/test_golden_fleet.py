@@ -28,8 +28,6 @@ from tests.exec.golden import (
     load_fleet_fixture,
 )
 
-pytestmark = pytest.mark.exec_smoke
-
 
 @pytest.fixture(scope="module")
 def fixture() -> dict:

@@ -21,8 +21,6 @@ from tests.exec.golden import (
     load_fixture,
 )
 
-pytestmark = pytest.mark.exec_smoke
-
 
 @pytest.fixture(scope="module")
 def fixture() -> dict:

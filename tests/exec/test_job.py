@@ -18,8 +18,6 @@ from repro.exec.job import (
 )
 from repro.experiments.scenario import three_phase_scenario
 
-pytestmark = pytest.mark.exec_smoke
-
 
 def _job(**kwargs) -> ScenarioJob:
     defaults = dict(manager="SPECTR", seed=2018)

@@ -22,7 +22,6 @@ import pytest
 
 import repro
 
-pytestmark = pytest.mark.exec_smoke
 
 MANAGERS = ("FS", "MM-Perf", "MM-Pow", "SPECTR")
 

@@ -18,7 +18,6 @@ from repro.exec.supervision import (
     SupervisionPolicy,
 )
 
-pytestmark = pytest.mark.exec_smoke
 
 ECHO = "repro.exec.engine._echo_runner"
 CRASH_ONCE = "repro.exec.engine._crash_once_runner"

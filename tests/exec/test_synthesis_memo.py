@@ -10,8 +10,6 @@ from repro.automata.automaton import Automaton
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.exec import ResultCache, cached_synthesize, synthesis_digest
 
-pytestmark = pytest.mark.exec_smoke
-
 
 def machine_pair():
     sigma = Alphabet.of(
