@@ -16,12 +16,14 @@
 #     (REPRO_DISABLE_FUSED=1) diverges from the scalar oracle — the
 #     pure-numpy fallback must stay bit-identical too,
 #   * `python -m repro.analysis all --strict` reports a non-baselined
-#     error or warning in any tier: classic (artifact defects, lint,
-#     architecture-layer violations), flow (whole-program rules: RNG
-#     provenance, picklability, hot-path purity, unit flow,
-#     frozen-dataclass mutation), models (model-check rules
-#     REPRO-M001..M007 on the committed formal artifacts, uncached), or
-#     shapes (array contracts REPRO-S000..S005).  The run also writes
+#     error or warning in any tier: classic (lint and
+#     architecture-layer violations on src/), flow (whole-program
+#     rules: RNG provenance, picklability, hot-path purity, unit flow,
+#     frozen-dataclass mutation), models (strict artifact decode
+#     REPRO-A001/A002/A009, model-check rules REPRO-M001..M007 and
+#     gain-set checks REPRO-G001..G005 on the committed formal
+#     artifacts, uncached), or shapes (array contracts
+#     REPRO-S000..S005).  The run also writes
 #     the merged analysis-report.sarif plus the per-tier reports CI
 #     uploads,
 #   * `python -m repro.resilience --smoke` records an invariant

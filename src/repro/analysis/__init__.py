@@ -2,12 +2,9 @@
 
 SPECTR's guarantee rests on artifacts that are verified *before* they
 reach the 50 ms control loop (Figure 11 steps 4-5).  This package makes
-that discipline a repo-wide gate with three analyzers sharing one
+that discipline a repo-wide gate with analyzer tiers sharing one
 finding/severity/report core:
 
-* :mod:`repro.analysis.artifacts` — validates serialized control
-  artifacts (automaton JSON, policy bundles with LQG gain sets) without
-  running the plant;
 * :mod:`repro.analysis.lint` — repo-specific AST lint (mutable
   defaults, bare excepts, float equality in control math, dtype-less
   numpy allocation in hot paths, missing ``__all__``, unit-suffix
@@ -18,29 +15,24 @@ finding/severity/report core:
   graph + dataflow rules for determinism (RNG provenance), cross-process
   picklability, interprocedural hot-path purity, unit-suffix flow and
   frozen-dataclass mutation, with incremental content-hash caching;
-* :mod:`repro.analysis.models` — formal model analyzer: symbolic
-  reachability over serialized automata and policy bundles, with
-  shortest counterexample traces for blocking/controllability defects,
+* :mod:`repro.analysis.models` — the one reader of serialized control
+  artifacts (automaton JSON, policy bundles with LQG gain sets): strict
+  decode (REPRO-A001/A002/A009), symbolic reachability with shortest
+  counterexample traces for blocking/controllability defects,
   runtime-monitor consistency and stale-bundle detection
-  (REPRO-M001..M007).
+  (REPRO-M001..M007), and the numeric gain checks of
+  :mod:`repro.analysis.gain_checks` (REPRO-G001..G005).
 
-Run everything with ``python -m repro.analysis [paths...]``; the exit
-code is nonzero iff any error-severity finding was produced.  The flow
-analyzer runs separately as ``python -m repro.analysis flow [paths...]``
-(it is whole-program, so it wants package roots, not single files), and
-the model analyzer as ``python -m repro.analysis models [paths...]``.
+``python -m repro.analysis [paths...]`` lints and arch-checks the Python
+sources and runs the models tier on any artifacts under ``paths``; the
+exit code is nonzero iff any error-severity finding was produced.  The
+flow analyzer runs separately as ``python -m repro.analysis flow
+[paths...]`` (it is whole-program, so it wants package roots, not
+single files), and the model analyzer as ``python -m repro.analysis
+models [paths...]``.
 """
 
 from repro.analysis.arch import ALLOWED_IMPORTS, check_architecture
-from repro.analysis.artifacts import (
-    analyze_automaton_file,
-    analyze_bundle_dir,
-)
-from repro.analysis.automata_checks import (
-    check_automaton_payload,
-    check_modular_alphabets,
-    check_supervisor_against_plant,
-)
 from repro.analysis.cli import analyze_paths, flow_main, main, models_main
 from repro.analysis.findings import (
     RULE_REGISTRY,
@@ -59,14 +51,9 @@ __all__ = [
     "RULE_REGISTRY",
     "Report",
     "Severity",
-    "analyze_automaton_file",
-    "analyze_bundle_dir",
     "analyze_paths",
     "check_architecture",
-    "check_automaton_payload",
     "check_gains",
-    "check_modular_alphabets",
-    "check_supervisor_against_plant",
     "collect_suppressions",
     "filter_findings",
     "flow_main",

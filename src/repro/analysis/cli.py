@@ -5,9 +5,12 @@ directories (default: the repository's ``src`` tree if present,
 otherwise the current directory) and runs:
 
 * the repo-specific AST lint on every ``*.py`` file;
-* the artifact verifier on every automaton ``*.json`` file and every
-  policy-bundle directory (``bundle.json`` + ``gains.npz``);
-* the architecture-layer checker on any walked ``repro`` package tree.
+* the architecture-layer checker on any walked ``repro`` package tree;
+* the models tier (:func:`repro.analysis.models.scan.scan_paths`, default
+  settings) on every automaton ``*.json`` file, model-set directory and
+  policy-bundle directory (``bundle.json`` + ``gains.npz``): strict
+  decode (REPRO-A001/A002/A009), the REPRO-M rules and the REPRO-G
+  gain checks.
 
 Exit code 0 iff no error-severity finding was produced — warnings are
 printed but do not fail the run (use ``--strict`` to fail on warnings
@@ -29,8 +32,9 @@ analyzer (symbolic shape/dtype abstract interpretation + ctypes ABI
 conformance, rules REPRO-S000..S005) — see
 :mod:`repro.analysis.shapes`.
 
-``python -m repro.analysis all`` runs every tier — classic
-(lint/artifacts/arch), flow, models, shapes — with each tier's
+``python -m repro.analysis all`` runs every tier — classic (lint and
+arch on ``src``, plus any artifacts found there), flow, models (the
+committed ``artifacts/``), shapes — with each tier's
 canonical roots and its own rule family's entries of the one committed
 ``analysis-baseline.json``, prints one combined summary
 table, merges the per-tier SARIF outputs into a single
@@ -41,19 +45,13 @@ tier fails.  This is the one invocation ``scripts/check.sh`` gates on.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.arch import check_architecture
-from repro.analysis.artifacts import (
-    analyze_automaton_file,
-    analyze_bundle_dir,
-    looks_like_automaton_payload,
-    looks_like_bundle_dir,
-)
-from repro.analysis.findings import Finding, Report, Severity
+from repro.analysis.findings import Report, Severity
 from repro.analysis.lint import lint_file
+from repro.analysis.models.scan import scan_paths
 
 __all__ = [
     "all_main",
@@ -67,39 +65,20 @@ __all__ = [
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "results", "output"}
 
 
-def _walk(paths: Iterable[Path]) -> tuple[list[Path], list[Path], list[Path]]:
-    """Partition inputs into (python files, json files, bundle dirs)."""
-    python_files: list[Path] = []
-    json_files: list[Path] = []
-    bundle_dirs: list[Path] = []
+def _python_files(paths: Iterable[Path]) -> list[Path]:
+    found: list[Path] = []
 
-    def visit_dir(directory: Path) -> None:
-        if looks_like_bundle_dir(directory):
-            bundle_dirs.append(directory)
-            return
-        for child in sorted(directory.iterdir()):
-            if child.name in _SKIP_DIRS or child.name.startswith("."):
-                continue
-            if child.is_dir():
-                visit_dir(child)
-            else:
-                visit_file(child)
-
-    def visit_file(file: Path) -> None:
-        if file.suffix == ".py":
-            python_files.append(file)
-        elif file.suffix == ".json" and file.name != "bundle.json":
-            json_files.append(file)
+    def visit(path: Path) -> None:
+        if path.is_dir():
+            for child in sorted(path.iterdir()):
+                if child.name not in _SKIP_DIRS and not child.name.startswith("."):
+                    visit(child)
+        elif path.suffix == ".py" and path.is_file():
+            found.append(path)
 
     for path in paths:
-        if path.is_dir():
-            visit_dir(path)
-        elif path.exists():
-            if looks_like_bundle_dir(path.parent) and path.name == "bundle.json":
-                bundle_dirs.append(path.parent)
-            else:
-                visit_file(path)
-    return python_files, json_files, bundle_dirs
+        visit(path)
+    return found
 
 
 def _find_package_roots(paths: Iterable[Path]) -> list[Path]:
@@ -118,52 +97,17 @@ def _find_package_roots(paths: Iterable[Path]) -> list[Path]:
     return sorted(roots)
 
 
-def _is_automaton_json(path: Path) -> bool:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return False
-    return looks_like_automaton_payload(payload)
-
-
 def analyze_paths(paths: Sequence[str | Path]) -> Report:
-    """Run all three analyzers over ``paths`` and aggregate a report.
-
-    JSON files named explicitly are always treated as automaton
-    artifacts; JSON files *discovered* while walking a directory are
-    analyzed only when they have the serialization format's key shape,
-    so unrelated data files (benchmark results, configs) pass through.
-    """
+    """Lint and arch on the Python sources under ``paths``, and the
+    models tier on every artifact there (it also reports input paths
+    that do not exist: a gate that silently passes on a typo'd path is
+    no gate)."""
     resolved = [Path(p) for p in paths]
-    explicit = {p for p in resolved if p.is_file()}
-    report = Report()
-    for path in resolved:
-        # A gate that silently passes on a typo'd path is no gate.
-        if not path.exists():
-            report.add(
-                Finding(
-                    path=str(path),
-                    line=0,
-                    rule="REPRO-C001",
-                    severity=Severity.ERROR,
-                    message="input path does not exist",
-                )
-            )
-    python_files, json_files, bundle_dirs = _walk(resolved)
-    json_files = [
-        f for f in json_files if f in explicit or _is_automaton_json(f)
-    ]
-
+    report = scan_paths(resolved).report
+    python_files = _python_files(resolved)
     for file in python_files:
         report.extend(lint_file(file))
     report.files_checked += len(python_files)
-
-    for file in json_files:
-        report.extend(analyze_automaton_file(file))
-    for bundle in bundle_dirs:
-        report.extend(analyze_bundle_dir(bundle))
-    report.artifacts_checked += len(json_files) + len(bundle_dirs)
-
     for root in _find_package_roots(resolved):
         report.extend(check_architecture(root / "repro"))
     return report
@@ -322,9 +266,9 @@ def all_main(argv: Sequence[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis all",
-        description="Run every analyzer tier (classic lint/artifacts/arch, "
-        "flow, models, shapes) with one merged exit code and a combined "
-        "summary table",
+        description="Run every analyzer tier (classic: lint + arch on src; "
+        "flow; models: strict decode + M/G rules on artifacts/; shapes) with "
+        "one merged exit code and a combined summary table",
     )
     parser.add_argument(
         "--report-dir",
@@ -451,8 +395,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     import sys
 
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Subcommand dispatch: `flow`/`models` switch analyzers; anything
-    # else is the legacy positional-paths interface (a file literally
+    # Subcommand dispatch: `flow`/`models`/`shapes`/`all` switch tiers;
+    # anything else is the positional-paths interface (a file literally
     # named `flow` is vanishingly unlikely and can be passed as
     # `./flow`).
     if argv[:1] == ["flow"]:
@@ -465,8 +409,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return all_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="SPECTR static analysis: artifact verifier, AST lint, "
-        "architecture-layer checker",
+        description="SPECTR static analysis: AST lint and architecture-layer "
+        "checker on Python sources, models tier on automata and bundles",
     )
     parser.add_argument(
         "paths",

@@ -1,6 +1,6 @@
 """Shared finding/severity/report core for all analyzers.
 
-Every analyzer (artifact verifier, AST lint, architecture checker)
+Every analyzer (AST lint, architecture checker, flow, models, shapes)
 produces a stream of :class:`Finding` objects that one :class:`Report`
 aggregates.  The CLI exit code is derived from the report: any
 error-severity finding fails the run, mirroring how the paper's design
@@ -38,19 +38,10 @@ class Severity(enum.IntEnum):
 RULE_REGISTRY: dict[str, str] = {
     # -- cross-cutting ------------------------------------------------
     "REPRO-C001": "input path does not exist",
-    # -- artifact verifier (repro.analysis.artifacts) -----------------
-    "REPRO-A001": "artifact file unreadable or not valid JSON",
-    "REPRO-A002": "automaton payload fails schema checks",
-    "REPRO-A003": "nondeterministic transition structure",
-    "REPRO-A004": "initial state missing or unreachable structure",
-    "REPRO-A005": "unreachable states",
-    "REPRO-A006": "blocking (non-coaccessible) states",
-    "REPRO-A007": "serialization round-trip mismatch",
-    "REPRO-A008": "modular alphabet inconsistency",
-    "REPRO-A009": "bundle structure invalid",
-    "REPRO-A010": "supervisor not controllable w.r.t. plant",
-    "REPRO-A011": "closed-loop blocking states",
-    "REPRO-A012": "bundle gain set unreadable",
+    # -- artifact decode (repro.analysis.models.scan) ------------------
+    "REPRO-A001": "artifact unreadable, not an automaton, or bad bundle format",
+    "REPRO-A002": "automaton payload fails strict decode",
+    "REPRO-A009": "bundle manifest has no supervisor",
     # -- numeric gain checks (repro.analysis.gain_checks) -------------
     "REPRO-G001": "gain set has non-finite entries",
     "REPRO-G002": "gain set shape mismatch",
@@ -109,7 +100,7 @@ class Finding:
 
     ``path`` is the artifact or source file; findings that refer to an
     artifact as a whole (e.g. an unstable gain set) anchor at line 1.
-    ``rule`` is a stable identifier like ``REPRO-A003`` so CI annotations
+    ``rule`` is a stable identifier like ``REPRO-M002`` so CI annotations
     and suppressions can reference it.
     """
 

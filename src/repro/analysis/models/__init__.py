@@ -1,12 +1,13 @@
-"""Formal model analyzer: REPRO-M rules over automata and bundles.
+"""Formal model analyzer: the one reader of automata and policy bundles.
 
-The third analyzer tier.  Where the artifact verifier (A-rules) checks
-*payload shape* and the flow analyzer (F-rules) checks *Python source*,
-this tier model-checks the *behaviour* of the formal artifacts the repo
-ships — plants, specifications, synthesized supervisors, persisted
-policy bundles — with the bitset reachability kernel from
-:mod:`repro.automata.symbolic`, attaching a shortest counterexample
-trace to every negative verdict.
+Where the flow analyzer (F-rules) checks *Python source*, this tier
+checks the formal artifacts the repo ships — plants, specifications,
+synthesized supervisors, persisted policy bundles.  It decodes each
+automaton strictly (REPRO-A001/A002/A009 for *payload shape*),
+model-checks its *behaviour* (REPRO-M rules) with the bitset
+reachability kernel from :mod:`repro.automata.symbolic`, attaching a
+shortest counterexample trace to every negative verdict, and runs the
+numeric gain checks (REPRO-G rules) on a bundle's ``gains.npz``.
 """
 
 from repro.analysis.models.cli import models_main

@@ -1,11 +1,12 @@
 """REPRO-M rules: model checks on formal artifacts.
 
-Unlike the A-rules (payload/schema sanity on serialized automata), the
-M-rules model-check the *behaviour*: reachability, blocking, and
-controllability verdicts come from the bitset kernel in
-:mod:`repro.automata.symbolic` and every negative verdict carries a
-shortest counterexample event trace, mirroring what Supremica's
-verification dialogs give the paper's authors.
+Unlike strict decode in :mod:`repro.analysis.models.scan` (payload and
+schema sanity on serialized automata), the M-rules model-check the
+*behaviour*: reachability, blocking, and controllability verdicts come
+from the bitset kernel in :mod:`repro.automata.symbolic` and every
+negative verdict carries a shortest counterexample event trace,
+mirroring what Supremica's verification dialogs give the paper's
+authors.
 
 Rules
 -----
@@ -16,7 +17,8 @@ Rules
     Blocking states — reachable but unable to reach any marked state —
     with a shortest counterexample trace to the nearest one.  Forbidden
     states are excluded: a specification *declares* bad states; blocking
-    is judged on the permitted remainder.
+    is judged on the permitted remainder.  Checked per model and on the
+    closed loop ``plant || supervisor``.
 ``REPRO-M003`` (error)
     Controllability violations of a supervisor against its plant, one
     finding per violation with the witness trace.
@@ -45,6 +47,8 @@ Rules
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.analysis.findings import Finding, Severity
@@ -54,6 +58,7 @@ from repro.automata.language import marked_language_difference
 from repro.automata.serialization import canonical_digest
 from repro.automata.symbolic import (
     EncodedAutomaton,
+    SearchTree,
     backward_reachable,
     encode_automaton,
     forward_reachable,
@@ -78,6 +83,7 @@ __all__ = [
     "MAX_PER_RULE",
     "check_alphabet_consistency",
     "check_bundle_freshness",
+    "check_closed_loop_blocking",
     "check_event_coverage",
     "check_model",
     "check_monitor_consistency",
@@ -175,16 +181,35 @@ def check_reachability(
             )
         )
 
-    # Blocking, judged on the non-forbidden subgraph.
-    keep = ~enc.forbidden
-    restricted = restrict_states(enc, keep)
-    tree = forward_search(restricted)
-    reach = tree.visited
-    blocking = reach & ~backward_reachable(restricted)
-    if blocking.any():
-        names = sorted(
-            enc.state_label(int(i)) for i in np.flatnonzero(blocking)
+    blocking_findings, tree, blocking = _blocking(
+        enc, enc.state_label, path, f"automaton {automaton.name!r}"
+    )
+    findings.extend(blocking_findings)
+
+    if role != "specification":
+        findings.extend(
+            _uncontrollable_deadends(
+                automaton, path, enc, tree.visited, blocking, tree
+            )
         )
+    return findings
+
+
+def _blocking(
+    enc: EncodedAutomaton,
+    label: Callable[[int], str],
+    path: str,
+    subject: str,
+) -> tuple[list[Finding], SearchTree, np.ndarray]:
+    """M002 on ``enc``, judged on the non-forbidden subgraph: one finding
+    with a shortest counterexample trace if any reachable state cannot
+    reach a marked one, plus the search tree and the blocking mask."""
+    restricted = restrict_states(enc, ~enc.forbidden)
+    tree = forward_search(restricted)
+    blocking = tree.visited & ~backward_reachable(restricted)
+    findings: list[Finding] = []
+    if blocking.any():
+        names = sorted(label(int(i)) for i in np.flatnonzero(blocking))
         witness_target = nearest_state(tree, blocking)
         trace = witness_trace(restricted, tree, witness_target)
         findings.append(
@@ -192,17 +217,29 @@ def check_reachability(
                 path,
                 "REPRO-M002",
                 Severity.ERROR,
-                f"automaton {automaton.name!r}: {len(names)} blocking "
-                f"state(s) {_names(names)}; shortest counterexample trace "
-                f"to {enc.state_label(witness_target)!r}: "
+                f"{subject}: {len(names)} blocking state(s) {_names(names)}; "
+                f"shortest counterexample trace to {label(witness_target)!r}: "
                 f"{_trace_text(trace)}",
             )
         )
+    return findings, tree, blocking
 
-    if role != "specification":
-        findings.extend(
-            _uncontrollable_deadends(automaton, path, enc, reach, blocking, tree)
-        )
+
+def check_closed_loop_blocking(
+    plant: Automaton, supervisor: Automaton, path: str
+) -> list[Finding]:
+    """M002 on the closed loop ``plant || supervisor``: a supervisor that
+    is nonblocking alone can still steer the product into a state with
+    no path back to a marked pair (Figure 11 step 5)."""
+    pair = synchronous_product(
+        encode_automaton(plant), encode_automaton(supervisor)
+    )
+    findings, _, _ = _blocking(
+        pair.product,
+        pair.pair_label,
+        path,
+        f"closed loop {plant.name!r} || {supervisor.name!r}",
+    )
     return findings
 
 

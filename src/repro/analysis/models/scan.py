@@ -3,14 +3,23 @@
 The analyzer checks *model-check units*:
 
 * a single serialized automaton ``*.json`` (role inferred from the file
-  stem: ``plant``, ``specification``/``spec``, ``supervisor``);
-* a policy-bundle directory (``bundle.json`` manifest) — the embedded
-  supervisor/plant automata are extracted straight from the manifest so
-  a bundle with damaged gain arrays can still be model-checked;
+  stem: ``plant``, ``specification``/``spec``, ``supervisor``; other
+  stems are picked up while walking only when the file has the
+  automaton key shape);
+* a policy-bundle directory (``bundle.json`` manifest + ``gains.npz``)
+  — the embedded supervisor/plant automata are extracted straight from
+  the manifest so a bundle with damaged gain arrays can still be
+  model-checked, and every gain set gets the numeric REPRO-G checks;
 * a directory holding two or more role-named automaton files — treated
   as one plant/specification/supervisor *model set* so the cross-model
   rules (M003 controllability, M004 alphabet consistency, M007
   staleness) apply.
+
+Every automaton is decoded strictly (:func:`decode_automaton`): a
+payload that misses a schema key, has no initial state, or does not
+survive a serialization round-trip is a REPRO-A002 error before any
+M-rule runs.  Unreadable files, non-automaton JSON and bad bundle
+formats are REPRO-A001; a bundle without a supervisor is REPRO-A009.
 
 Each unit's findings are cached by the sha256 of its raw content in the
 shared analyzer cache (:class:`~repro.analysis.flow.cache.ModuleCache`,
@@ -25,17 +34,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.analysis.findings import Finding, Report, Severity
 from repro.analysis.flow.cache import DEFAULT_CACHE_DIR, ModuleCache
+from repro.analysis.gain_checks import check_gains
 from repro.analysis.models.rules import (
     check_alphabet_consistency,
     check_bundle_freshness,
+    check_closed_loop_blocking,
     check_model,
     check_pair_controllability,
 )
 from repro.automata.automaton import Automaton
-from repro.automata.serialization import automaton_from_dict
-from repro.core.persistence import BUNDLE_MANIFEST
+from repro.automata.serialization import automaton_from_dict, automaton_to_dict
+from repro.core.persistence import (
+    BUNDLE_FORMAT,
+    BUNDLE_MANIFEST,
+    gains_from_arrays,
+)
 
 __all__ = [
     "MODEL_CHECK_SCHEMA",
@@ -43,13 +60,15 @@ __all__ = [
     "ModelScanResult",
     "ModelScanStats",
     "analyze_model_set",
+    "decode_automaton",
     "infer_role",
+    "looks_like_automaton_payload",
     "make_cache",
     "scan_paths",
 ]
 
 # Bump when any M-rule changes what it reports.
-MODEL_CHECK_SCHEMA = "model-check/1"
+MODEL_CHECK_SCHEMA = "model-check/2"
 
 # File-stem -> canonical role.  ``spec`` is accepted as an alias because
 # the paper's figures label the specification automaton ``SP``/"spec".
@@ -61,6 +80,10 @@ MODEL_ROLES: dict[str, str] = {
 }
 
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "results", "output"}
+
+# Keys a serialized automaton must carry (``marked``/``forbidden``
+# default to empty).
+_REQUIRED_KEYS = ("name", "events", "states", "initial", "transitions")
 
 
 def make_cache(root: str | Path = DEFAULT_CACHE_DIR) -> ModuleCache:
@@ -107,18 +130,93 @@ def _finding(path: str, rule: str, message: str) -> Finding:
     )
 
 
+def looks_like_automaton_payload(payload: Any) -> bool:
+    """Heuristic: a dict with the serialization format's key shape."""
+    return isinstance(payload, dict) and {
+        "states",
+        "transitions",
+        "events",
+    } <= payload.keys()
+
+
+def _canonical(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """Order-insensitive view of an automaton payload, key by key."""
+    return {
+        "name": payload.get("name"),
+        "events": frozenset(
+            (
+                e["name"],
+                bool(e.get("controllable", True)),
+                bool(e.get("observable", True)),
+            )
+            for e in payload.get("events", ())
+        ),
+        "states": frozenset(payload.get("states", ())),
+        "initial": payload.get("initial"),
+        "marked": frozenset(payload.get("marked", ())),
+        "forbidden": frozenset(payload.get("forbidden", ())),
+        "transitions": frozenset(
+            tuple(t) for t in payload.get("transitions", ())
+        ),
+    }
+
+
+def decode_automaton(payload: Any) -> Automaton:
+    """Strict inverse of :func:`automaton_to_dict`.
+
+    Raises unless ``payload`` carries every schema key and an initial
+    state, decodes (deterministic, every transition event in the
+    alphabet), and re-serializes to the same canonical payload — which
+    rejects initial, marked and transition states missing from
+    ``states``.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("payload is not a JSON object")
+    missing = [key for key in _REQUIRED_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"missing required key(s) {missing}")
+    if payload["initial"] is None:
+        raise ValueError(f"automaton {payload['name']!r} has no initial state")
+    automaton = automaton_from_dict(payload)
+    given = _canonical(payload)
+    decoded = _canonical(automaton_to_dict(automaton))
+    changed = [key for key in given if given[key] != decoded[key]]
+    if changed:
+        raise ValueError(
+            f"serialization round-trip changes {changed}; every initial, "
+            "marked, forbidden and transition state must be in 'states'"
+        )
+    return automaton
+
+
 def _load_automaton_file(
     path: Path,
 ) -> tuple[Automaton | None, list[Finding]]:
-    """Decode one serialized automaton, reusing the A-rule vocabulary."""
+    """Decode one serialized automaton file.
+
+    A file whose stem names a role claims to be an automaton, so any
+    failure to decode it is A002; any other file must first have the
+    automaton key shape (A001 otherwise).
+    """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return None, [
             _finding(str(path), "REPRO-A001", f"unreadable JSON: {exc}")
         ]
+    if infer_role(path.stem) is None and not looks_like_automaton_payload(
+        payload
+    ):
+        return None, [
+            _finding(
+                str(path),
+                "REPRO-A001",
+                "JSON file is not an automaton payload (missing "
+                "states/transitions/events keys)",
+            )
+        ]
     try:
-        return automaton_from_dict(payload), []
+        return decode_automaton(payload), []
     except Exception as exc:
         return None, [
             _finding(
@@ -163,6 +261,7 @@ def analyze_model_set(
     supervisor = normalized.get("supervisor")
     if plant is not None and supervisor is not None:
         findings.extend(check_pair_controllability(plant, supervisor, path))
+        findings.extend(check_closed_loop_blocking(plant, supervisor, path))
         if resynthesize:
             findings.extend(
                 check_bundle_freshness(
@@ -178,36 +277,53 @@ def analyze_model_set(
 # ----------------------------------------------------------------------
 # Unit discovery
 # ----------------------------------------------------------------------
-def _looks_like_bundle_dir(path: Path) -> bool:
-    return path.is_dir() and (path / BUNDLE_MANIFEST).is_file()
+def _json_files(directory: Path) -> list[Path]:
+    return [
+        child
+        for child in sorted(directory.iterdir())
+        if child.is_file() and child.suffix == ".json"
+    ]
+
+
+def _role_files(directory: Path) -> list[Path]:
+    return [f for f in _json_files(directory) if infer_role(f.stem)]
+
+
+def _is_automaton_file(path: Path) -> bool:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        return False
+    return looks_like_automaton_payload(payload)
 
 
 def _walk_units(
     paths: Iterable[Path],
 ) -> tuple[list[Path], list[Path], list[Path]]:
-    """Partition inputs into (single model files, set dirs, bundle dirs)."""
+    """Partition inputs into (single model files, set dirs, bundle dirs).
+
+    Named files are always analyzed; a walked file is a unit when its
+    stem names a role or it has the automaton key shape, so unrelated
+    data files (benchmark results, configs) pass through.
+    """
     model_files: list[Path] = []
     set_dirs: list[Path] = []
     bundle_dirs: list[Path] = []
 
-    def role_files(directory: Path) -> list[Path]:
-        return [
-            child
-            for child in sorted(directory.iterdir())
-            if child.is_file()
-            and child.suffix == ".json"
-            and infer_role(child.stem) is not None
-        ]
-
     def visit_dir(directory: Path) -> None:
-        if _looks_like_bundle_dir(directory):
+        if (directory / BUNDLE_MANIFEST).is_file():
             bundle_dirs.append(directory)
             return
-        grouped = role_files(directory)
+        grouped = _role_files(directory)
         if len(grouped) >= 2:
             set_dirs.append(directory)
         else:
             model_files.extend(grouped)
+        model_files.extend(
+            f
+            for f in _json_files(directory)
+            if not infer_role(f.stem) and _is_automaton_file(f)
+        )
         for child in sorted(directory.iterdir()):
             if child.name in _SKIP_DIRS or child.name.startswith("."):
                 continue
@@ -287,15 +403,11 @@ def _analyze_set_dir(
     findings: list[Finding] = []
     models: dict[str, Automaton] = {}
     anchors: dict[str, str] = {}
-    for child in sorted(directory.iterdir()):
-        if not (child.is_file() and child.suffix == ".json"):
-            continue
-        role = infer_role(child.stem)
-        if role is None:
-            continue
+    for child in _role_files(directory):
         automaton, errors = _load_automaton_file(child)
         findings.extend(errors)
         if automaton is not None:
+            role = MODEL_ROLES[child.stem.lower()]
             models[role] = automaton
             anchors[role] = str(child)
     findings.extend(
@@ -313,32 +425,24 @@ def _analyze_bundle_unit(
     directory: Path, *, resynthesize: bool
 ) -> tuple[list[Finding], int, bool]:
     manifest_path = directory / BUNDLE_MANIFEST
+    anchor = str(manifest_path)
     try:
         manifest: Any = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return (
-            [
-                _finding(
-                    str(manifest_path),
-                    "REPRO-A001",
-                    f"unreadable manifest: {exc}",
-                )
-            ],
-            0,
-            False,
+        error = _finding(anchor, "REPRO-A001", f"unreadable manifest: {exc}")
+        return [error], 0, False
+    if not isinstance(manifest, dict) or manifest.get("supervisor") is None:
+        error = _finding(
+            anchor, "REPRO-A009", "bundle manifest has no supervisor payload"
         )
-    if not isinstance(manifest, dict) or "supervisor" not in manifest:
-        return (
-            [
-                _finding(
-                    str(manifest_path),
-                    "REPRO-A009",
-                    "bundle manifest has no supervisor payload",
-                )
-            ],
-            0,
-            False,
+        return [error], 0, False
+    if manifest.get("format") != BUNDLE_FORMAT:
+        error = _finding(
+            anchor,
+            "REPRO-A001",
+            f"unsupported bundle format {manifest.get('format')!r}",
         )
+        return [error], 0, False
     models: dict[str, Automaton] = {}
     findings: list[Finding] = []
     for role in ("supervisor", "plant"):
@@ -346,21 +450,64 @@ def _analyze_bundle_unit(
         if payload is None:
             continue
         try:
-            models[role] = automaton_from_dict(payload)
+            models[role] = decode_automaton(payload)
         except Exception as exc:
             findings.append(
                 _finding(
-                    str(manifest_path),
+                    anchor,
                     "REPRO-A002",
                     f"bundle {role} payload fails to decode: {exc}",
                 )
             )
     findings.extend(
-        analyze_model_set(
-            models, path=str(manifest_path), resynthesize=resynthesize
-        )
+        analyze_model_set(models, path=anchor, resynthesize=resynthesize)
     )
+    findings.extend(_check_bundle_gains(directory, manifest))
     return _set_result(findings, models, resynthesize=resynthesize)
+
+
+def _check_bundle_gains(
+    directory: Path, manifest: dict[str, Any]
+) -> list[Finding]:
+    """REPRO-G rules on every gain set the manifest declares."""
+    subsystems = manifest.get("subsystems") or {}
+    if not subsystems:
+        return []
+    gains_path = directory / "gains.npz"
+    if not gains_path.is_file():
+        return [
+            _finding(
+                str(gains_path),
+                "REPRO-G002",
+                "manifest declares gain sets but gains.npz is missing",
+            )
+        ]
+    try:
+        with np.load(gains_path) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError) as exc:
+        return [
+            _finding(
+                str(gains_path), "REPRO-G001", f"unreadable gains.npz: {exc}"
+            )
+        ]
+    findings: list[Finding] = []
+    for subsystem, meta in subsystems.items():
+        for gain_name in meta.get("gain_sets", ()):
+            prefix = f"{subsystem}/{gain_name}"
+            try:
+                gains = gains_from_arrays(arrays, prefix, gain_name)
+            except Exception as exc:  # report, don't crash
+                findings.append(
+                    _finding(
+                        str(gains_path),
+                        "REPRO-G002",
+                        f"gain set {prefix!r} cannot be reconstructed: {exc}",
+                    )
+                )
+                continue
+            findings.extend(check_gains(gains, f"{gains_path}#{prefix}"))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -397,18 +544,11 @@ def scan_paths(
     for file in model_files:
         units.append((str(file), (file,), _analyze_model_file))
     for directory in set_dirs:
-        members = [
-            child
-            for child in sorted(directory.iterdir())
-            if child.is_file()
-            and child.suffix == ".json"
-            and infer_role(child.stem) is not None
-        ]
-        units.append((str(directory), members, _analyze_set_dir))
+        units.append((str(directory), _role_files(directory), _analyze_set_dir))
     for directory in bundle_dirs:
-        units.append(
-            (str(directory), (directory / BUNDLE_MANIFEST,), _analyze_bundle_unit)
-        )
+        # The gain checks read gains.npz, so its bytes key the entry too.
+        content = (directory / BUNDLE_MANIFEST, directory / "gains.npz")
+        units.append((str(directory), content, _analyze_bundle_unit))
 
     for unit_name, content_files, analyzer in units:
         stats.units_scanned += 1

@@ -25,6 +25,7 @@ from repro.control.lqg import LQGGains
 from repro.control.statespace import OperatingPoint, StateSpaceModel
 
 BUNDLE_MANIFEST = "bundle.json"
+BUNDLE_FORMAT = "spectr-policy-bundle/1"
 
 
 class BundleError(RuntimeError):
@@ -111,7 +112,7 @@ def save_bundle(bundle: PolicyBundle, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     manifest: dict = {
-        "format": "spectr-policy-bundle/1",
+        "format": BUNDLE_FORMAT,
         "supervisor": automaton_to_dict(bundle.supervisor),
         "plant": (
             automaton_to_dict(bundle.plant)
@@ -155,7 +156,7 @@ def load_bundle(directory: str | Path) -> PolicyBundle:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise BundleError(f"corrupt manifest: {exc}") from exc
-    if manifest.get("format") != "spectr-policy-bundle/1":
+    if manifest.get("format") != BUNDLE_FORMAT:
         raise BundleError(
             f"unsupported bundle format {manifest.get('format')!r}"
         )

@@ -8,7 +8,11 @@ from repro.analysis.models.scan import make_cache, scan_paths
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 
-from tests.analysis.models.conftest import write_model
+from tests.analysis.models.conftest import (
+    save_gain_bundle,
+    scalar_gains,
+    write_model,
+)
 
 # The models tier keys an entry on the scan mode, the unit and its bytes.
 MODE = "resynth"
@@ -138,6 +142,26 @@ class TestScanIntegration:
         scan_paths([unit], cache=cache)
         assert cache.hits == 0
         assert cache.misses == 2
+
+    def test_gains_edit_invalidates_bundle(self, tmp_path):
+        # The bundle unit's gain checks read gains.npz, so its bytes key
+        # the entry: swapping in an unstable gain set must miss.
+        bundle = save_gain_bundle(
+            tmp_path / "bundle", scalar_gains("stable", 0.5, -0.25)
+        )
+        cache = make_cache(tmp_path / "cache")
+        assert scan_paths([bundle], cache=cache).report.findings == []
+        # Same gain-set name, so bundle.json stays byte-identical.
+        unstable = save_gain_bundle(
+            tmp_path / "unstable", scalar_gains("stable", -0.8, 0.0)
+        )
+        assert (unstable / "bundle.json").read_bytes() == (
+            bundle / "bundle.json"
+        ).read_bytes()
+        (unstable / "gains.npz").replace(bundle / "gains.npz")
+        result = scan_paths([bundle], cache=cache)
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert [f.rule for f in result.report.findings] == ["REPRO-G003"]
 
     def test_resynth_mode_does_not_share_entries(self, tmp_path):
         unit = tmp_path / "unit"

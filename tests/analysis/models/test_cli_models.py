@@ -6,6 +6,7 @@ from repro.analysis.cli import main, models_main
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.serialization import automaton_to_dict
+from repro.core.persistence import BUNDLE_FORMAT
 from tests.analysis.models.conftest import write_model
 
 SIGMA = Alphabet.of([controllable("go"), uncontrollable("fault")])
@@ -135,7 +136,7 @@ class TestModelsCli:
         bundle = tmp_path / "bundle"
         bundle.mkdir()
         manifest = {
-            "schema": "policy-bundle/1",
+            "format": BUNDLE_FORMAT,
             "supervisor": automaton_to_dict(_clean_plant()),
         }
         (bundle / "bundle.json").write_text(

@@ -1,6 +1,13 @@
 """Tests for the shared Finding/Severity/Report core."""
 
-from repro.analysis.findings import Finding, Report, Severity
+import ast
+import re
+from pathlib import Path
+
+import repro.analysis
+from repro.analysis.findings import RULE_REGISTRY, Finding, Report, Severity
+
+RULE_ID = re.compile(r"REPRO-[A-Z]\d{3}")
 
 
 def finding(severity, line=3, rule="REPRO-X001", path="src/mod.py"):
@@ -68,3 +75,30 @@ class TestReport:
         text = report.format_text(min_severity=Severity.ERROR)
         assert "error" in text
         assert "warning" not in text.splitlines()[0]
+
+
+class TestRuleRegistry:
+    @staticmethod
+    def emitted_rule_ids():
+        """Every string literal that is a whole rule id, in every analyzer
+        module except the registry itself."""
+        package = Path(repro.analysis.__file__).parent
+        found = set()
+        for module in package.rglob("*.py"):
+            if module == package / "findings.py":
+                continue
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and RULE_ID.fullmatch(node.value)
+                ):
+                    found.add(node.value)
+        return found
+
+    def test_registry_matches_emitted_literals(self):
+        # A retired rule must leave the registry, and a new one must
+        # join it, or suppressions and baselines validate the wrong set.
+        emitted = self.emitted_rule_ids()
+        assert sorted(set(RULE_REGISTRY) - emitted) == []
+        assert sorted(emitted - set(RULE_REGISTRY)) == []

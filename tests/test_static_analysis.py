@@ -37,16 +37,33 @@ class TestSeededBadArtifacts:
         bundle = FIXTURES / "alphabet_mismatch_bundle"
         assert main([str(bundle)]) == 1
         out = capsys.readouterr().out
-        assert "REPRO-A010" in out
-        assert "1 errors" in out
+        assert out.splitlines() == [
+            *alphabet_mismatch_rows(bundle),
+            "1 files, 2 artifacts checked: 2 errors, 0 warnings, 0 notes",
+        ]
 
     def test_fixture_dir_is_discovered_by_walking(self, capsys):
         # Walking the directory (not naming files) must still find both
         # seeded artifacts: one automaton JSON + one bundle dir.
         assert main([str(FIXTURES)]) == 1
-        out = capsys.readouterr().out
-        assert "REPRO-A002" in out
-        assert "REPRO-A010" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "REPRO-A002" in lines[2]
+        assert lines[:2] == alphabet_mismatch_rows(
+            FIXTURES / "alphabet_mismatch_bundle"
+        )
+
+
+def alphabet_mismatch_rows(bundle):
+    """The seeded bundle's conflicting 'toggle' event: an M004 error, and
+    M007's failure branch because re-synthesis cannot compose it."""
+    manifest = bundle / "bundle.json"
+    return [
+        f"{manifest}:1: error: REPRO-M004: event 'toggle' is uncontrollable "
+        "in 'plant' but controllable in 'supervisor'",
+        f"{manifest}:1: error: REPRO-M007: re-synthesis from the bundled "
+        "models failed: event 'toggle' already present with different "
+        "attributes: toggle[u] vs toggle[c]",
+    ]
 
 
 class TestSeverityGating:
