@@ -32,7 +32,7 @@ import json
 import os
 import time
 
-from conftest import results_dir
+from conftest import host_metadata, results_dir
 
 FULL_SIZES = [(2, 3), (4, 3), (7, 3)]
 QUICK_SIZES = [(2, 3), (4, 3)]
@@ -134,7 +134,7 @@ def test_model_check_speedup(save_result):
         f">= {min_speedup}x)"
     )
 
-    payload = {"quick": quick, "sizes": rows}
+    payload = {"quick": quick, "host": host_metadata(), "sizes": rows}
     (results_dir(quick) / "model_check.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )

@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import results_dir
+from conftest import host_metadata, results_dir
 
 FULL_SIZES = [(2, 3), (4, 3), (7, 3)]
 QUICK_SIZES = [(2, 3), (4, 3)]
@@ -47,9 +47,11 @@ FULL_MIN_SPEEDUP = 20.0
 QUICK_MIN_SPEEDUP = 3.0
 
 # Wall-clock budget for the explicit engine at the 10-cluster scale
-# point.  The symbolic engine finishes the same problem in seconds;
-# explicit composition alone (millions of dict entries) blows through
-# this budget before synthesis even starts.
+# points.  The symbolic engine finishes the same problems in seconds.
+# The explicit engine composes the fleet plant quickly (the
+# reachable-only composer) but its set-walking fixpoint then runs past
+# this budget; the scalable-10x3 plant composes to ~1.65M states and
+# 20M dict entries, which exhausts the probe's capped address space.
 EXPLICIT_BUDGET_S = 60.0
 
 SCALE_POINTS = [
@@ -58,7 +60,17 @@ SCALE_POINTS = [
 ]
 
 _EXPLICIT_PROBE = """
+import os
+import resource
 import sys
+
+# Cap this probe's address space at half the host's physical memory, so
+# an explicit compose that keeps growing fails with MemoryError (status
+# "error") instead of reaching the OOM killer.  Only this process is
+# limited.
+half = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+resource.setrlimit(resource.RLIMIT_AS, (half, half))
+
 from repro.automata import explicit_synthesize_supervisor
 from repro.core.scalable import (
     fleet_alphabet,
@@ -280,7 +292,13 @@ def test_symbolic_synthesis_speedup(save_result):
             f"{EXPLICIT_BUDGET_S}s — raise the scale point"
         )
 
-    payload = {"quick": quick, "sizes": rows, "fleet": fleet_row, "scale": scale}
+    payload = {
+        "quick": quick,
+        "host": host_metadata(),
+        "sizes": rows,
+        "fleet": fleet_row,
+        "scale": scale,
+    }
     (results_dir(quick) / "symbolic_synthesis.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )

@@ -8,6 +8,8 @@ output can be inspected after a run.  Quick-mode runs save under
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,19 @@ def results_dir(quick: bool) -> Path:
     path = QUICK_RESULTS_DIR if quick else RESULTS_DIR
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def host_metadata() -> dict:
+    """CPU count, memory and toolchain versions recorded with a result."""
+    import numpy as np
+
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return {
+        "cpus": os.cpu_count(),
+        "memory_gb": round(memory / 2**30, 1),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
+import numpy as np
+
 from repro.automata.automaton import Automaton, AutomatonError, State
-from repro.automata.events import Event
+from repro.automata.events import Alphabet, Event
+from repro.automata.symbolic import compose_encoded, encode_automaton
 
 
 def synchronous_composition(
@@ -32,55 +35,75 @@ def synchronous_composition(
     reachable part of the product is constructed.
     """
     alphabet = a.alphabet.union(b.alphabet)
-    composed = Automaton(name or f"{a.name}||{b.name}", alphabet)
-    initial = a.initial.compose(b.initial)
-    composed.add_state(
-        initial,
-        marked=a.is_marked(a.initial) and b.is_marked(b.initial),
-        forbidden=a.is_forbidden(a.initial) or b.is_forbidden(b.initial),
-        initial=True,
-    )
-
-    frontier: deque[tuple[State, State]] = deque([(a.initial, b.initial)])
-    visited: set[tuple[State, State]] = {(a.initial, b.initial)}
-
-    while frontier:
-        state_a, state_b = frontier.popleft()
-        source = state_a.compose(state_b)
-        for event in alphabet:
-            in_a = event in a.alphabet
-            in_b = event in b.alphabet
-            next_a = a.step(state_a, event) if in_a else state_a
-            next_b = b.step(state_b, event) if in_b else state_b
-            if in_a and next_a is None:
-                continue
-            if in_b and next_b is None:
-                continue
-            assert next_a is not None and next_b is not None
-            target = next_a.compose(next_b)
-            if (next_a, next_b) not in visited:
-                visited.add((next_a, next_b))
-                composed.add_state(
-                    target,
-                    marked=a.is_marked(next_a) and b.is_marked(next_b),
-                    forbidden=a.is_forbidden(next_a) or b.is_forbidden(next_b),
-                )
-                frontier.append((next_a, next_b))
-            composed.add_transition(source, event, target)
-    return composed
+    _require_initial(a, b)
+    return _compose([a, b], alphabet, name or f"{a.name}||{b.name}")
 
 
 def compose_all(automata: Iterable[Automaton], name: str | None = None) -> Automaton:
-    """Left fold of :func:`synchronous_composition` over ``automata``."""
+    """``A_1 || A_2 || ... || A_n`` — the left fold of
+    :func:`synchronous_composition`, built in one reachable-only pass.
+
+    The alphabet is still folded pairwise, so controllability conflicts
+    and missing initial states raise exactly where the fold would.  A
+    single automaton is returned as is (renamed when ``name`` is given).
+    """
     items = list(automata)
     if not items:
         raise AutomatonError("compose_all requires at least one automaton")
-    result = items[0]
-    for other in items[1:]:
-        result = synchronous_composition(result, other)
+    if len(items) == 1:
+        result = items[0]
+    else:
+        alphabet = items[0].alphabet
+        for k, other in enumerate(items[1:]):
+            alphabet = alphabet.union(other.alphabet)
+            _require_initial(*(items[:2] if k == 0 else [other]))
+        result = _compose(items, alphabet, "||".join(a.name for a in items))
     if name is not None:
         result.name = name
     return result
+
+
+def _require_initial(*automata: Automaton) -> None:
+    """Raise the :class:`AutomatonError` of the first automaton that has
+    no initial state."""
+    for automaton in automata:
+        automaton.initial  # the property raises when it is missing
+
+
+def _compose(items: list[Automaton], alphabet: Alphabet, name: str) -> Automaton:
+    """Materialize the reachable product of ``items`` as an automaton.
+
+    States come in FIFO-BFS discovery order and transitions in (source,
+    event) order, as a state-at-a-time BFS would add them.  The bulk
+    build skips add_transition's coercion and determinism checks; both
+    are vacuous for a product of deterministic automata over the union
+    alphabet.
+    """
+    product = compose_encoded([encode_automaton(a) for a in items])
+    composed = Automaton(name, alphabet)
+    labels = product.labels()
+    states = np.empty(labels.size, dtype=object)
+    states[:] = [State(label) for label in labels.tolist()]
+    composed._states = {state.name: state for state in states.tolist()}
+    composed._marked = set(states[product.all_marked()].tolist())
+    composed._forbidden = set(states[product.any_forbidden()].tolist())
+    composed._initial = states[0]
+
+    events = np.empty(len(product.event_names), dtype=object)
+    events[:] = [alphabet[event] for event in product.event_names]
+    edge_src, edge_event, edge_dst = product.edges()
+    sources = states[edge_src].tolist()
+    edge_events = events[edge_event].tolist()
+    composed._delta = dict(
+        zip(zip(sources, edge_events), states[edge_dst].tolist())
+    )
+    # Edges are grouped by source already (discovery order).
+    starts = np.flatnonzero(np.diff(edge_src, prepend=-1)).tolist()
+    ends = starts[1:] + [len(sources)]
+    composed._enabled = {
+        sources[a]: set(edge_events[a:b]) for a, b in zip(starts, ends)
+    }
+    return composed
 
 
 def accessible_states(automaton: Automaton) -> frozenset[State]:

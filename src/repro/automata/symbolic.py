@@ -9,7 +9,7 @@ become numpy bool vectors, and one BFS level advances every frontier
 state over one event with a single vectorized gather/scatter — no
 per-state Python loops.
 
-Three ingredients:
+Four ingredients:
 
 * :func:`encode_automaton` — freeze an :class:`Automaton` into sorted
   index space (:class:`EncodedAutomaton`) with per-event ``src``/``dst``
@@ -18,6 +18,11 @@ Three ingredients:
   the encoded product ``A || B`` directly in pair-index space
   (``pair = i * n_B + j``) without materializing a composed
   :class:`Automaton`.
+* :func:`reachable_product` — the *reachable* part of a product of any
+  number of factors, by level-synchronous BFS over mixed-radix keys
+  (the left fold's pair index), in exact FIFO discovery order.  It backs
+  ``compose_all``, ``encode_composition`` and ``synthesis_product``;
+  memory follows the reachable product, never the cross product.
 * :func:`forward_reachable` / :func:`backward_reachable` /
   :func:`forward_search` — level-synchronized bitset BFS; the search
   variant records parent pointers so shortest counterexample event
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -40,13 +46,16 @@ from repro.automata.automaton import Automaton
 __all__ = [
     "EncodedAutomaton",
     "PairEncoding",
+    "ReachableProduct",
     "SearchTree",
     "backward_reachable",
+    "compose_encoded",
     "controllability_product",
     "encode_automaton",
     "forward_reachable",
     "forward_search",
     "nearest_state",
+    "reachable_product",
     "restrict_states",
     "synchronous_product",
     "witness_trace",
@@ -369,6 +378,329 @@ def controllability_product(
         forbidden=forbidden,
     )
     return PairEncoding(product=product, left=plant, right=supervisor)
+
+
+# ----------------------------------------------------------------------
+# Reachable products in mixed-radix key space
+# ----------------------------------------------------------------------
+_KEY_LIMIT = int(np.iinfo(_INDEX_DTYPE).max)
+
+# A dense successor table costs one slot per factor state; it replaces
+# the binary search when it is at most this many times the event's
+# transition count.
+_DENSE_FACTOR = 8
+
+# Successor keys are computed for at most this many (state, event)
+# slots at a time, bounding the temporaries of wide BFS levels.
+_BLOCK_SLOTS = 1 << 22
+
+# One factor's successor function on one event: ``(k, table, None)``
+# with ``table[i]`` the successor of state ``i`` (-1 where disabled), or
+# ``(k, src, dst)`` to binary-search when a table would be sparse.
+_Move = tuple[int, np.ndarray, "np.ndarray | None"]
+
+
+@dataclass
+class ReachableProduct:
+    """The reachable part of the synchronous product of encoded factors.
+
+    A product state is the mixed-radix key ``sum_k i_k * strides[k]``
+    over factor state indices ``i_k`` (the last factor has stride 1),
+    which is exactly the left fold's pair index ``i * n_right + j``.
+    ``keys`` lists the reachable keys in FIFO-BFS discovery order.
+    Events are indexed in ``event_names`` (sorted union) order;
+    transitions are regenerated from the factors on demand, by
+    :meth:`edges` and :meth:`event_arrays`.
+    """
+
+    factors: tuple[EncodedAutomaton, ...]
+    event_names: tuple[str, ...]
+    event_controllable: np.ndarray
+    strides: tuple[int, ...]
+    keys: np.ndarray
+    moves: list[list[_Move]] = field(repr=False)
+
+    @property
+    def n_states(self) -> int:
+        """Size of the full (cross-product) key space."""
+        return self.strides[0] * self.factors[0].n_states
+
+    def digits(self, k: int) -> np.ndarray:
+        """Factor ``k``'s state index of every reachable key."""
+        return (self.keys // self.strides[k]) % self.factors[k].n_states
+
+    def all_marked(self) -> np.ndarray:
+        """Per reachable key: every factor marked."""
+        mask = np.ones(self.keys.size, dtype=bool)
+        for k, factor in enumerate(self.factors):
+            mask &= factor.marked[self.digits(k)]
+        return mask
+
+    def any_forbidden(self) -> np.ndarray:
+        """Per reachable key: some factor forbidden."""
+        mask = np.zeros(self.keys.size, dtype=bool)
+        for k, factor in enumerate(self.factors):
+            mask |= factor.forbidden[self.digits(k)]
+        return mask
+
+    def labels(self) -> np.ndarray:
+        """Object array of dotted state names, in discovery order."""
+        labels: np.ndarray | None = None
+        for k, factor in enumerate(self.factors):
+            assert factor.state_names is not None
+            names = np.asarray(factor.state_names, dtype=object)[self.digits(k)]
+            labels = names if labels is None else labels + "." + names
+        assert labels is not None
+        return labels
+
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted keys and the discovery position of each."""
+        order = np.argsort(self.keys)
+        return self.keys[order], order
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, event, dst)`` with states as discovery positions, in
+        (source, event) order: the order a one-state-at-a-time FIFO BFS
+        adds them."""
+        sorted_keys, position = self._positions()
+        src, ev, dst = [], [], []
+        for offset, targets in _blocks(
+            self.keys, self.moves, self.factors, self.strides
+        ):
+            flat = targets.T.ravel()
+            hits = np.flatnonzero(flat >= 0)
+            rows, events = np.divmod(hits, len(self.moves))
+            src.append(offset + rows)
+            ev.append(events)
+            dst.append(position[np.searchsorted(sorted_keys, flat[hits])])
+        return _cat(src), _cat(ev), _cat(dst)
+
+    def event_arrays(
+        self, by_key: bool = True
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per-event ``(src, dst)`` arrays sorted by ``(src, dst)`` — the
+        :class:`EncodedAutomaton` layout — with states numbered by key,
+        or by discovery position when ``by_key`` is false."""
+        sorted_keys, position = self._positions()
+        walk = sorted_keys if by_key else self.keys
+        src: list[list[np.ndarray]] = [[] for _ in self.moves]
+        dst: list[list[np.ndarray]] = [[] for _ in self.moves]
+        for offset, targets in _blocks(
+            walk, self.moves, self.factors, self.strides
+        ):
+            for e, target in enumerate(targets):
+                hits = np.flatnonzero(target >= 0)
+                if not hits.size:
+                    continue
+                if by_key:
+                    src[e].append(walk[offset + hits])
+                    dst[e].append(target[hits])
+                else:
+                    src[e].append(offset + hits)
+                    dst[e].append(
+                        position[np.searchsorted(sorted_keys, target[hits])]
+                    )
+        return tuple(map(_cat, src)), tuple(map(_cat, dst))
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=_INDEX_DTYPE)
+
+
+def _move(factor_index: int, factor: EncodedAutomaton, event: int) -> _Move:
+    src, dst = factor.src[event], factor.dst[event]
+    if factor.n_states <= _DENSE_FACTOR * src.size:
+        table = np.full(factor.n_states, -1, dtype=_INDEX_DTYPE)
+        table[src] = dst
+        return factor_index, table, None
+    return factor_index, src, dst
+
+
+def _successors(
+    keys: np.ndarray,
+    moves: list[list[_Move]],
+    factors: tuple[EncodedAutomaton, ...],
+    strides: tuple[int, ...],
+) -> np.ndarray:
+    """``(n_events, len(keys))`` successor keys, -1 where disabled.
+
+    An event fires where every participating factor enables it; each
+    such factor swaps its digit of the key for its successor's.
+    """
+    targets = np.full((len(moves), keys.size), -1, dtype=_INDEX_DTYPE)
+    digits: dict[int, np.ndarray] = {}
+    for e, parts in enumerate(moves):
+        enabled: np.ndarray | None = None
+        target = keys
+        for k, table, dst in parts:
+            d = digits.get(k)
+            if d is None:
+                d = digits[k] = (keys // strides[k]) % factors[k].n_states
+            if dst is None:
+                nxt = table[d]
+            else:
+                pos = np.minimum(np.searchsorted(table, d), table.size - 1)
+                nxt = np.where(table[pos] == d, dst[pos], -1)
+            hit = nxt >= 0
+            enabled = hit if enabled is None else enabled & hit
+            target = target + (nxt - d) * strides[k]
+        if enabled is not None:
+            np.copyto(targets[e], target, where=enabled)
+    return targets
+
+
+def _blocks(
+    keys: np.ndarray,
+    moves: list[list[_Move]],
+    factors: tuple[EncodedAutomaton, ...],
+    strides: tuple[int, ...],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`_successors` over ``keys`` in blocks: ``(offset, targets)``."""
+    step = max(1, _BLOCK_SLOTS // max(1, len(moves)))
+    for offset in range(0, keys.size, step):
+        yield offset, _successors(keys[offset : offset + step], moves, factors, strides)
+
+
+def _first_occurrences(
+    keys: np.ndarray, key_space: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` (sorted) and where each first occurs.
+
+    When every ``(key, position)`` pair packs into one int64, a single
+    value sort of the packed pairs replaces a stable argsort: ties come
+    out in position order, so each run starts at its first occurrence.
+    """
+    n = keys.size
+    if key_space * n - 1 <= _KEY_LIMIT:
+        packed = keys * n + np.arange(n, dtype=_INDEX_DTYPE)
+        packed.sort()
+        ordered, order = np.divmod(packed, n)
+    else:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return ordered[starts], order[starts]
+
+
+def reachable_product(
+    factors: list[EncodedAutomaton] | tuple[EncodedAutomaton, ...],
+    muted: frozenset[str] = frozenset(),
+) -> ReachableProduct:
+    """Find the reachable part of ``factors[0] || factors[1] || ...``.
+
+    Level-synchronous BFS over mixed-radix keys (Section 4.3.1
+    semantics: an event moves every factor whose alphabet has it and
+    fires only where all of them enable it; the others hold still).
+    Events in ``muted`` never fire.  Per level and per event, each
+    participating factor's successor comes from its sorted per-event
+    ``src`` array (binary search, or a dense table when that is small).
+    Level edges are scanned in (frontier position, event) order and new
+    keys kept in first-occurrence order, which is exactly FIFO BFS
+    discovery order.  The visited set is a sorted key array, so memory
+    follows the reachable product, never the cross product.  Factors
+    must be deterministic (every encoding of an :class:`Automaton` is)
+    and their cross product must fit in int64; :func:`compose_encoded`
+    splits longer factor lists.
+    """
+    factors = tuple(factors)
+    names = sorted(set().union(*(f.event_names for f in factors)))
+    radix = [1] * len(factors)
+    for k in range(len(factors) - 1, 0, -1):
+        radix[k - 1] = radix[k] * factors[k].n_states
+    strides = tuple(radix)
+    key_space = strides[0] * factors[0].n_states
+    if key_space - 1 > _KEY_LIMIT:
+        raise OverflowError("product key space exceeds int64")
+
+    controllable: list[bool] = []
+    moves: list[list[_Move]] = []
+    for name in names:
+        present = [
+            (k, f, i)
+            for k, f in enumerate(factors)
+            if (i := f.event_index(name)) is not None
+        ]
+        _, owner, index = present[0]
+        controllable.append(bool(owner.event_controllable[index]))
+        if name in muted or any(not f.src[i].size for _, f, i in present):
+            moves.append([])
+        else:
+            moves.append([_move(k, f, i) for k, f, i in present])
+
+    keys = _cat([])
+    if all(f.initial >= 0 for f in factors):
+        initial = sum(f.initial * s for f, s in zip(factors, strides))
+        frontier = np.asarray([initial], dtype=_INDEX_DTYPE)
+        levels = [frontier]
+        seen = frontier  # sorted
+        while frontier.size:
+            found = []
+            for _, targets in _blocks(frontier, moves, factors, strides):
+                flat = targets.T.ravel()  # (frontier position, event) order
+                found.append(flat[flat >= 0])
+            uniq, first = _first_occurrences(_cat(found), key_space)
+            at = np.minimum(np.searchsorted(seen, uniq), seen.size - 1)
+            fresh = seen[at] != uniq
+            frontier = uniq[fresh][np.argsort(first[fresh])]
+            seen = np.insert(seen, np.searchsorted(seen, uniq[fresh]), uniq[fresh])
+            levels.append(frontier)
+        keys = np.concatenate(levels)
+
+    return ReachableProduct(
+        factors=factors,
+        event_names=tuple(names),
+        event_controllable=np.asarray(controllable, dtype=bool),
+        strides=strides,
+        keys=keys,
+        moves=moves,
+    )
+
+
+def _compact(product: ReachableProduct) -> EncodedAutomaton:
+    """A reachable product as one factor numbered by discovery position:
+    marked where every factor is, forbidden where any is, labelled with
+    dotted names when every factor is named."""
+    src, dst = product.event_arrays(by_key=False)
+    named = all(f.state_names is not None for f in product.factors)
+    return EncodedAutomaton(
+        name="||".join(f.name for f in product.factors),
+        n_states=int(product.keys.size),
+        event_names=product.event_names,
+        event_controllable=product.event_controllable,
+        src=src,
+        dst=dst,
+        initial=0 if product.keys.size else -1,
+        marked=product.all_marked(),
+        forbidden=product.any_forbidden(),
+        state_names=tuple(product.labels().tolist()) if named else None,
+    )
+
+
+def compose_encoded(factors: list[EncodedAutomaton]) -> ReachableProduct:
+    """:func:`reachable_product` of any number of factors.
+
+    While the cross product of the remaining factors would overflow an
+    int64 key, the longest prefix that fits is composed first and fed
+    back in as one factor numbered by its reachable states.  That is
+    exact: BFS discovery and edge order depend only on the reachable
+    product graph, and the compacted prefix keeps names, marking and
+    forbidden flags with product semantics.
+    """
+    factors = list(factors)
+    while True:
+        size, fit = 1, 0
+        for factor in factors:
+            size *= factor.n_states
+            if size - 1 > _KEY_LIMIT:
+                break
+            fit += 1
+        if fit == len(factors):
+            return reachable_product(factors)
+        if fit < 2:
+            raise OverflowError("product key space exceeds int64")
+        factors = [_compact(reachable_product(factors[:fit]))] + factors[fit:]
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:

@@ -9,9 +9,10 @@ uncontrollable-extension pruning, iterated to convergence (Section
 :class:`~repro.automata.symbolic.EncodedAutomaton`:
 
 * the synthesis product is built in pair-index space by
-  :func:`~repro.automata.symbolic.synchronous_product`, with
-  spec-private events silenced (a constraint event the plant does not
-  model can never fire — matching the explicit builder);
+  :func:`~repro.automata.symbolic.reachable_product` — transitions of
+  the reachable pairs only — with spec-private events silenced (a
+  constraint event the plant does not model can never fire — matching
+  the explicit builder);
 * the extension pass evaluates one *uncontrollable-escape mask* per
   plant event: ``escape = good & plant_enables_pairs & ~has_good_edge``,
   a handful of vectorized scatters instead of a per-state loop;
@@ -26,11 +27,11 @@ that attributes a pruned state to ``removed_uncontrollable`` versus
 attribution canonical, so :func:`symbolic_synthesize_supervisor` and the
 explicit oracle agree field-for-field, not just up to isomorphism.
 
-For models too large to compose explicitly, :func:`encode_composition`
-folds :func:`synchronous_product` over encoded factors, pruning to the
-reachable part after every fold — the 10-cluster fleet plants (millions
-of product states) never exist as Python object graphs at all, and
-:func:`supremal_fixpoint` synthesizes directly on the encoding.
+For models too large to hold as Python object graphs,
+:func:`encode_composition` builds the reachable product of the encoded
+factors in one pass — the 10-cluster plants never exist as
+:class:`Automaton` objects, and :func:`supremal_fixpoint` synthesizes
+directly on the encoding.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from repro.automata.symbolic import (
     backward_reachable,
     encode_automaton,
     forward_reachable,
+    reachable_product,
     restrict_states,
-    synchronous_product,
 )
 from repro.automata.synthesis import (
     ProductState,
@@ -76,24 +77,33 @@ def synthesis_product(
     specification does not constrain them), exactly as in
     :func:`~repro.automata.symbolic.synchronous_product` — but events
     private to the *specification* are constraints the plant cannot
-    execute, so their transitions are silenced rather than interleaved.
-    A pair is forbidden if either component is forbidden, marked iff
-    both are.
+    execute, so they never fire.  Only the pairs reachable from the
+    initial pair get transitions (built by
+    :func:`~repro.automata.symbolic.reachable_product`, so memory follows
+    the reachable product, not the cross product); ``marked`` (both
+    marked) and ``forbidden`` (either forbidden) cover the whole pair
+    space.
     """
-    pair = synchronous_product(plant, spec)
-    product = pair.product
-    empty = np.asarray([], dtype=_INDEX_DTYPE)
-    src = list(product.src)
-    dst = list(product.dst)
-    muted = False
-    for e, name in enumerate(product.event_names):
-        if plant.event_index(name) is None and src[e].size:
-            src[e], dst[e] = empty, empty
-            muted = True
-    if muted:
-        product = replace(product, src=tuple(src), dst=tuple(dst))
-        pair = PairEncoding(product=product, left=plant, right=spec)
-    return pair
+    muted = frozenset(set(spec.event_names) - set(plant.event_names))
+    reached = reachable_product([plant, spec], muted=muted)
+    src, dst = reached.event_arrays()
+    nb = spec.n_states
+    product = EncodedAutomaton(
+        name=f"{plant.name}||{spec.name}",
+        n_states=plant.n_states * nb,
+        event_names=reached.event_names,
+        event_controllable=reached.event_controllable,
+        src=src,
+        dst=dst,
+        initial=(
+            plant.initial * nb + spec.initial
+            if plant.initial >= 0 and spec.initial >= 0
+            else -1
+        ),
+        marked=(plant.marked[:, None] & spec.marked[None, :]).ravel(),
+        forbidden=(plant.forbidden[:, None] | spec.forbidden[None, :]).ravel(),
+    )
+    return PairEncoding(product=product, left=plant, right=spec)
 
 
 @dataclass
@@ -346,14 +356,16 @@ def encode_composition(
     components: Iterable[Automaton | EncodedAutomaton],
     name: str | None = None,
 ) -> EncodedAutomaton:
-    """Fold the synchronous product over ``components``, fully encoded.
+    """The synchronous product of ``components``, fully encoded.
 
-    The composed plant never exists as an :class:`Automaton`: each fold
-    step builds the pair encoding and immediately restricts it to its
-    forward-reachable part, so the transition arrays stay proportional
-    to the *reachable* product even though the index space is the full
-    cross product.  This is the entry point for models whose explicit
-    composition is itself infeasible (the 10-cluster fleet plants).
+    The composed plant never exists as an :class:`Automaton`: one
+    :func:`~repro.automata.symbolic.reachable_product` pass builds the
+    transitions of the reachable states only.  States keep the left
+    fold's index space (``((i0 * n1 + i1) * n2 + i2) ...``, the full
+    cross product), and ``marked``/``forbidden`` are set on reachable
+    states only.  This is the entry point for scale runs, where the
+    composed plant as an :class:`Automaton` would be a Python object
+    graph of millions of transitions (the 10-cluster plants).
 
     The result has no state names; pair it with
     :func:`supremal_fixpoint` for scale runs, or with named encodings
@@ -367,12 +379,27 @@ def encode_composition(
     ]
     if not encoded:
         raise SynthesisError("encode_composition requires at least one component")
-    accumulated = encoded[0]
-    for factor in encoded[1:]:
-        accumulated = synchronous_product(accumulated, factor).product
-        accumulated = restrict_states(
-            accumulated, forward_reachable(accumulated)
+    if len(encoded) == 1:
+        composed = encoded[0]
+    else:
+        reached = reachable_product(encoded)
+        src, dst = reached.event_arrays()
+        n_states = reached.n_states
+        marked = np.zeros(n_states, dtype=bool)
+        marked[reached.keys[reached.all_marked()]] = True
+        forbidden = np.zeros(n_states, dtype=bool)
+        forbidden[reached.keys[reached.any_forbidden()]] = True
+        composed = EncodedAutomaton(
+            name="||".join(factor.name for factor in encoded),
+            n_states=n_states,
+            event_names=reached.event_names,
+            event_controllable=reached.event_controllable,
+            src=src,
+            dst=dst,
+            initial=int(reached.keys[0]) if reached.keys.size else -1,
+            marked=marked,
+            forbidden=forbidden,
         )
     if name is not None:
-        accumulated = replace(accumulated, name=name)
-    return accumulated
+        composed = replace(composed, name=name)
+    return composed

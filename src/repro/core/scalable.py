@@ -18,10 +18,11 @@ fleet-wide power-capping process (per-fleet ``fleetCritical`` /
 with its own three-band rule and a fleet-wide budget lock that freezes
 every cluster's budget raises during a fleet capping episode.  The
 fleet plant multiplies the counter plant's state space by another
-factor of seven, which pushes the synthesis product into the millions
-of pairs — the scale regime only the symbolic engine of
-:mod:`repro.automata.symbolic_synthesis` can synthesize; the explicit
-fixpoint cannot finish inside the benchmark budget
+factor of seven, which pushes the synthesis product's index space into
+the millions of pairs — the scale regime only the symbolic engine of
+:mod:`repro.automata.symbolic_synthesis` can synthesize.  Composing the
+plant is cheap either way (only reachable states are built), but the
+explicit fixpoint cannot finish inside the benchmark budget
 (``benchmarks/bench_symbolic_synthesis.py``).
 """
 
@@ -374,10 +375,11 @@ def fleet_plant_components(
 ) -> list[Automaton]:
     """The factor automata of the fleet counter plant, uncomposed.
 
-    At fleet scale the composed plant has millions of states and must
-    never be materialized — feed these components to
+    At fleet scale the composed plant has hundreds of thousands of
+    states and millions of transitions; as an :class:`Automaton` that is
+    a large Python object graph.  Feed these components to
     :func:`repro.automata.symbolic_synthesis.encode_composition` and
-    synthesize on the encoding.
+    synthesize on the encoding instead.
     """
     sigma = alphabet or fleet_alphabet(n_clusters)
     components = [
@@ -396,7 +398,13 @@ def fleet_plant_components(
 def fleet_counter_plant(
     n_clusters: int, levels: int, alphabet: Alphabet | None = None
 ) -> Automaton:
-    """Explicitly composed fleet plant — small sizes and oracles only."""
+    """Explicitly composed fleet plant, as an :class:`Automaton`.
+
+    Composition builds only the reachable states, so this is fast even
+    at 10 clusters (~200k states); it is the explicit engine's set-walking
+    synthesis on the result that does not scale.  Scale runs use
+    :func:`fleet_plant_components` and the encoded path.
+    """
     return compose_all(
         fleet_plant_components(n_clusters, levels, alphabet),
         name=f"FleetCounterPlant[{n_clusters}x{levels}]",
@@ -424,10 +432,11 @@ def build_fleet_supervisor(
 ) -> VerifiedSupervisor:
     """Synthesize + verify the fleet-coordinated supervisor.
 
-    Composes the plant explicitly, so this entry point is for sizes
-    where that is still feasible (tests, the case-study scale); the
-    benchmark's fleet scale points go through
-    :func:`fleet_plant_components` and the encoded fold instead.
+    Materializes the composed plant and the supervisor as automata, so
+    this entry point is for moderate sizes (tests, the case-study
+    scale); the benchmark's fleet scale points go through
+    :func:`fleet_plant_components` and
+    :func:`repro.automata.symbolic_synthesis.encode_composition` instead.
     """
     sigma = fleet_alphabet(n_clusters)
     return synthesize_and_verify(
